@@ -150,6 +150,10 @@ func (f *follower) run(ctx context.Context) {
 	}
 }
 
+// bootstrapAttempts bounds how many times one bootstrap restarts its
+// install because the primary committed a newer checkpoint mid-fetch.
+const bootstrapAttempts = 4
+
 // bootstrap installs the primary's current checkpoint into the local
 // store (re-verified file by file), restores a serving generation from
 // it, and parks the cursor at the watermark's successor segment. It is
@@ -160,9 +164,23 @@ func (f *follower) bootstrap(ctx context.Context) error {
 		return err
 	}
 	start := time.Now()
-	cp, err := f.srv.persist.InstallCheckpoint(rm, func(mf store.ManifestFile) (io.ReadCloser, error) {
-		return f.client.CheckpointFile(ctx, mf)
-	})
+	var cp *store.Checkpoint
+	for attempt := 1; ; attempt++ {
+		cp, err = f.srv.persist.InstallCheckpoint(rm, func(mf store.ManifestFile) (io.ReadCloser, error) {
+			return f.client.CheckpointFile(ctx, mf)
+		})
+		if err == nil || attempt == bootstrapAttempts {
+			break
+		}
+		// The primary serves files of its current checkpoint, so a
+		// commit that lands mid-fetch fails the manifest sums. Restart
+		// against the newer checkpoint; any other failure is returned.
+		next, merr := f.client.Manifest(ctx)
+		if merr != nil || next.Generation == rm.Generation {
+			break
+		}
+		rm = next
+	}
 	if err != nil {
 		return err
 	}

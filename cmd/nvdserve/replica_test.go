@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"nvdclean/internal/gen"
 	"nvdclean/internal/naming"
 	"nvdclean/internal/predict"
+	"nvdclean/internal/replica"
 	"nvdclean/internal/store"
 )
 
@@ -546,4 +548,81 @@ func TestNvdserveReplicaSmoke(t *testing.T) {
 
 	f.shutdown(t)
 	p.shutdown(t)
+}
+
+// TestFollowerBootstrapSurvivesCheckpointRotation proves a bootstrap
+// survives the primary committing a newer checkpoint while the files
+// stream. The primary serves the files of its current checkpoint, so
+// every file fetched after the commit fails the old manifest's sums;
+// the follower must restart the install against the new manifest
+// rather than fail the bootstrap.
+func TestFollowerBootstrapSurvivesCheckpointRotation(t *testing.T) {
+	cfg := nvdclean.SmallScale()
+	cfg.NumCVEs = 120
+	cfg.NumVendors = 30
+	snap, truth, err := nvdclean.GenerateSnapshot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := nvdclean.Options{
+		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
+		Models:      []predict.ModelKind{predict.ModelLR},
+		ModelConfig: predict.ModelConfig{Seed: 1},
+		Seed:        1,
+	}
+	pStr, _, _, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pStr.Close()
+	primary := newServer(opts)
+	primary.persist = pStr
+	primary.compactEvery = 1 // no committer: every ingest commits inline
+	if err := primary.load(t.Context(), snap); err != nil {
+		t.Fatal(err)
+	}
+	mod := snap.Entries[0].Clone()
+	mod.Descriptions[0].Value += " rotated"
+	var body bytes.Buffer
+	if err := nvdclean.WriteFeed(&body, &nvdclean.Snapshot{CapturedAt: snap.CapturedAt.Add(time.Hour), Entries: []*nvdclean.Entry{mod}}); err != nil {
+		t.Fatal(err)
+	}
+	h := primary.handler()
+	var rotate sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, replica.CheckpointPathPrefix) {
+			// Concurrent fetches wait here until the commit is done.
+			rotate.Do(func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/feed", bytes.NewReader(body.Bytes())))
+				if rec.Code != http.StatusOK {
+					t.Errorf("POST /feed during the install = %d: %s", rec.Code, rec.Body)
+				}
+			})
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	fStr, _, _, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fStr.Close()
+	fsrv := newServer(opts)
+	fsrv.persist = fStr
+	fol := newFollower(fsrv, ts.URL, 5*time.Millisecond, 0)
+	fsrv.follower = fol
+	before := pStr.Generation()
+	if err := fol.bootstrap(t.Context()); err != nil {
+		t.Fatalf("bootstrap across a primary commit: %v", err)
+	}
+	if pStr.Generation() == before {
+		t.Fatal("the primary did not commit during the install")
+	}
+	if fStr.Watermark() != pStr.Watermark() {
+		t.Errorf("follower installed watermark %d, primary's is %d", fStr.Watermark(), pStr.Watermark())
+	}
+	catchUp(t, t.Context(), fol)
+	assertConverged(t, "after rotation", primary, fsrv)
 }

@@ -134,9 +134,9 @@ func WriteFeed(w io.Writer, s *Snapshot) error {
 	return writeFeed(w, s, true)
 }
 
-// WriteFeedCompact is WriteFeed without indentation — the generation
-// store's checkpoint encoding, where decode speed and file size beat
-// readability. ReadFeed accepts both forms identically.
+// WriteFeedCompact is WriteFeed without indentation, for machine
+// consumers where size beats readability. ReadFeed accepts both forms
+// identically.
 func WriteFeedCompact(w io.Writer, s *Snapshot) error {
 	return writeFeed(w, s, false)
 }

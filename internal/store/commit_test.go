@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"nvdclean/internal/cve"
+	"nvdclean/internal/fsio"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -368,4 +372,55 @@ func TestCommitObserver(t *testing.T) {
 		t.Error("failed commit observed without its error")
 	}
 	s.Close()
+}
+
+// TestCommitSealedRejectsBeforeWriting proves a checkpoint whose index
+// does not cover its cleaned snapshot is refused with no writer left
+// running: once CommitSealed returns the error, the filesystem sees no
+// further operation, and a retry of the same generation (same tmp
+// directory) commits and reopens cleanly.
+func TestCommitSealedRejectsBeforeWriting(t *testing.T) {
+	dir := t.TempDir()
+	inj := fsio.NewInjector(fsio.OS{})
+	s, _, _, _, err := OpenFS(dir, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(testCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendDelta(testDelta(1)); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := s.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := testCheckpoint()
+	bad.Index = BuildIndex(&cve.Snapshot{Entries: bad.Cleaned.Entries[:1]}, 4)
+	err = s.CommitSealed(bad, seq)
+	if err == nil || !strings.Contains(err.Error(), "index covers") {
+		t.Fatalf("CommitSealed with a short index = %v, want the coverage error", err)
+	}
+	ops := inj.Ops()
+	for i := 0; i < 10; i++ {
+		time.Sleep(10 * time.Millisecond)
+		if now := inj.Ops(); now != ops {
+			t.Fatalf("filesystem ops moved from %d to %d after CommitSealed returned", ops, now)
+		}
+	}
+
+	good := testCheckpoint()
+	good.Index = BuildIndex(good.Cleaned, 4)
+	if err := s.CommitSealed(good, seq); err != nil {
+		t.Fatalf("retry after the refused commit: %v", err)
+	}
+	s.Close()
+	s2, cp, deltas, notes := mustOpen(t, dir)
+	if cp == nil || s2.Generation() != 2 || len(deltas) != 0 {
+		t.Fatalf("reopen after retry: generation %d, %d deltas, notes %v", s2.Generation(), len(deltas), notes)
+	}
+	if cp.Index == nil || cp.IndexNote != "" {
+		t.Fatalf("reopen after retry: index not restored (%q)", cp.IndexNote)
+	}
 }

@@ -303,58 +303,3 @@ func TestAppendFramesRejectsCorrupt(t *testing.T) {
 		t.Errorf("intact batch rejected after failures: %v", err)
 	}
 }
-
-// TestLegacyWALReplicationSource proves a store migrated from the
-// pre-segmentation wal-NNNNNN.log layout serves as a replication
-// source: the adopted segment is enumerable, readable from a cursor,
-// and positioned exactly where a follower's verbatim copy would be.
-func TestLegacyWALReplicationSource(t *testing.T) {
-	dir := t.TempDir()
-	s, _, _, _ := mustOpen(t, dir)
-	if err := s.Commit(testCheckpoint()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 2; i++ {
-		if err := s.AppendDelta(testDelta(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	if err := os.Rename(filepath.Join(dir, "log-000001"), filepath.Join(dir, "wal-000001.log")); err != nil {
-		t.Fatal(err)
-	}
-
-	migrated, _, _, _ := mustOpen(t, dir)
-	rm, err := migrated.ReplicationManifest()
-	if err != nil {
-		t.Fatalf("migrated store offers no manifest: %v", err)
-	}
-	if rm.WALSeq != 1 || len(rm.Segments) != 1 || rm.Segments[0].Records != 2 {
-		t.Fatalf("migrated manifest: walSeq=%d segments=%+v", rm.WALSeq, rm.Segments)
-	}
-	raw, sealed, err := migrated.ReadSegment(1, 0)
-	if err != nil || sealed {
-		t.Fatalf("ReadSegment on migrated log: sealed=%v err=%v", sealed, err)
-	}
-	deltas, off, note := scanFrames(raw)
-	if note != "" || len(deltas) != 2 || off != int64(len(raw)) {
-		t.Fatalf("migrated segment bytes unusable: %d deltas, note %q", len(deltas), note)
-	}
-	seq, lastOff := migrated.LastPosition()
-	if seq != 1 || lastOff != int64(len(raw)) {
-		t.Fatalf("migrated position (%d,%d), want (1,%d)", seq, lastOff, len(raw))
-	}
-
-	// And a sink fed those bytes lands at the same position.
-	sink, _, _, _ := mustOpen(t, t.TempDir())
-	if _, err := sink.InstallCheckpoint(rm, sourceFetch(migrated)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sink.AppendFrames(raw); err != nil {
-		t.Fatal(err)
-	}
-	sSeq, sOff := sink.LastPosition()
-	if sSeq != seq || sOff != lastOff {
-		t.Fatalf("sink position (%d,%d) diverges from migrated source (%d,%d)", sSeq, sOff, seq, lastOff)
-	}
-}

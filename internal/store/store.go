@@ -9,14 +9,16 @@
 //	log-NNNNNN       one delta-log segment of CRC-framed records
 //
 // A checkpoint directory contains the original and cleaned snapshots in
-// NVD JSON 1.1 feed form (the cleaned feed carries the backportedV3
-// extension key), the consolidation maps, the trained severity engine,
-// and state.json — the incremental-reuse state (dataset fingerprint,
-// per-entry crawl and CWE artifacts, backported scores) that lets a
-// restart rebuild a delta-cleanable Result without re-running the
-// pipeline. MANIFEST.json closes the checkpoint with per-file CRC-32C
-// sums — and the walSeq watermark naming the highest log segment the
-// checkpoint already folds in — and is written last.
+// the binary snapshot format (cve.WriteSnapshot), the consolidation
+// maps, the trained severity engine, and state.json — the
+// incremental-reuse state (dataset fingerprint, per-entry crawl and CWE
+// artifacts, backported scores) that lets a restart rebuild a
+// delta-cleanable Result without re-running the pipeline. MANIFEST.json
+// closes the checkpoint with per-file CRC-32C sums — and the walSeq
+// watermark naming the highest log segment the checkpoint already folds
+// in — and is written last. Its kind names the checkpoint format; a
+// store whose checkpoint has another kind is refused on open, never
+// swept (see UnsupportedFormatError).
 //
 // The delta log is segmented (wal.go): appends go to the active
 // segment, Seal closes it and opens a successor, and CommitSealed
@@ -43,6 +45,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -66,8 +69,8 @@ import (
 const (
 	currentFile  = "CURRENT"
 	manifestFile = "MANIFEST.json"
-	originalFile = "original.json"
-	cleanedFile  = "cleaned.json"
+	originalFile = "original.snap"
+	cleanedFile  = "cleaned.snap"
 	vendorsFile  = "vendors.json"
 	productsFile = "products.json"
 	engineFile   = "engine.json"
@@ -150,7 +153,23 @@ type fileSum struct {
 	CRC32C uint32 `json:"crc32c"`
 }
 
-const manifestKind = "nvdstore-checkpoint"
+// manifestKind names the checkpoint format: bumped whenever a file's
+// encoding changes. "nvdstore-checkpoint" stored both snapshots as NVD
+// JSON feeds; "nvdstore-checkpoint-v2" stores them as binary snapshots.
+const manifestKind = "nvdstore-checkpoint-v2"
+
+// UnsupportedFormatError reports a checkpoint whose manifest names a
+// format this build does not read. Open fails with it rather than
+// treating the store as empty: a cold start would sweep the delta log,
+// dropping acknowledged deltas, so the store is left untouched for a
+// build that reads the format.
+type UnsupportedFormatError struct {
+	Kind string
+}
+
+func (e *UnsupportedFormatError) Error() string {
+	return fmt.Sprintf("store: unsupported checkpoint format %q (this build reads %q)", e.Kind, manifestKind)
+}
 
 // Store is an open generation store. Log writers (AppendDelta, Seal)
 // must be serialized (nvdserve does so behind its feed mutex), but a
@@ -227,7 +246,6 @@ func OpenFS(dir string, fs fsio.FS) (*Store, *Checkpoint, []*cve.Delta, []string
 		s.gen = cp.Generation
 		s.genSeq = cp.Seq
 	}
-	migrateLegacyWAL(fs, dir, s.gen, s.genSeq, &notes)
 	sweepStale(fs, dir, s.gen, s.genSeq, &notes)
 	if cp == nil {
 		return s, nil, nil, notes, nil
@@ -257,37 +275,13 @@ func OpenFS(dir string, fs fsio.FS) (*Store, *Checkpoint, []*cve.Delta, []string
 	return s, cp, deltas, notes, nil
 }
 
-// migrateLegacyWAL adopts a pre-segmentation wal-NNNNNN.log belonging
-// to the recovered generation as the first live segment: the frame
-// format is unchanged, so a rename is a complete migration. When the
-// file cannot be adopted (rename failure, or segments already exist —
-// an ambiguous mix no upgrade path produces), it is left in place and
-// noted; sweepStale preserves the current generation's legacy log, so
-// acknowledged records are never silently discarded.
-func migrateLegacyWAL(fs fsio.FS, dir string, gen, genSeq uint64, notes *[]string) {
-	if gen == 0 {
-		return
-	}
-	legacy := filepath.Join(dir, fmt.Sprintf("wal-%06d.log", gen))
-	if _, err := fs.Stat(legacy); err != nil {
-		return
-	}
-	if len(segmentSeqs(fs, dir)) > 0 {
-		*notes = append(*notes, fmt.Sprintf("ignoring legacy delta log wal-%06d.log (segments already present)", gen))
-		return
-	}
-	if err := fs.Rename(legacy, filepath.Join(dir, segmentName(genSeq+1))); err != nil {
-		*notes = append(*notes, fmt.Sprintf("legacy delta log not migrated: %v", err))
-		return
-	}
-	*notes = append(*notes, fmt.Sprintf("migrated legacy delta log to segment %s", segmentName(genSeq+1)))
-}
-
 // pickCheckpoint loads the generation CURRENT names, falling back to
 // the newest readable gen-* directory when CURRENT is missing, stale,
-// or names a corrupt checkpoint.
+// or names a corrupt checkpoint. A checkpoint of an unsupported format
+// is an error, not a fallback: the store belongs to another build.
 func pickCheckpoint(fs fsio.FS, dir string, notes *[]string) (*Checkpoint, error) {
 	var tried []string
+	var unsupported *UnsupportedFormatError
 	if name, err := readCurrent(fs, dir); err == nil && name != "" {
 		cp, err := loadCheckpoint(fs, filepath.Join(dir, name))
 		if err == nil {
@@ -295,6 +289,9 @@ func pickCheckpoint(fs fsio.FS, dir string, notes *[]string) (*Checkpoint, error
 				*notes = append(*notes, fmt.Sprintf("checkpoint %s: %s", name, cp.IndexNote))
 			}
 			return cp, nil
+		}
+		if errors.As(err, &unsupported) {
+			return nil, fmt.Errorf("checkpoint %s (CURRENT): %w", name, err)
 		}
 		*notes = append(*notes, fmt.Sprintf("checkpoint %s (CURRENT): %v", name, err))
 		tried = append(tried, name)
@@ -304,6 +301,9 @@ func pickCheckpoint(fs fsio.FS, dir string, notes *[]string) (*Checkpoint, error
 			continue
 		}
 		cp, err := loadCheckpoint(fs, filepath.Join(dir, name))
+		if errors.As(err, &unsupported) {
+			return nil, fmt.Errorf("checkpoint %s: %w", name, err)
+		}
 		if err != nil {
 			*notes = append(*notes, fmt.Sprintf("checkpoint %s: %v", name, err))
 			continue
@@ -318,20 +318,17 @@ func pickCheckpoint(fs fsio.FS, dir string, notes *[]string) (*Checkpoint, error
 }
 
 // sweepStale removes interrupted commits (gen-*.tmp), checkpoint
-// directories other than the recovered generation, legacy single-file
-// delta logs of retired generations (the current generation's, if one
-// somehow survived migration, still holds acknowledged records and is
-// preserved), segments the committed checkpoint already folds in
-// (walSeq and below — stragglers of a crash between the CURRENT swap
-// and retirement), and, on a cold recovery with no checkpoint at all,
-// every segment (deltas are unusable without their base generation).
+// directories other than the recovered generation, segments the
+// committed checkpoint already folds in (walSeq and below — stragglers
+// of a crash between the CURRENT swap and retirement), and, on a cold
+// recovery with no checkpoint at all, every segment (deltas are
+// unusable without their base generation).
 func sweepStale(fs fsio.FS, dir string, gen, genSeq uint64, notes *[]string) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	keepDir := genName(gen)
-	keepWAL := fmt.Sprintf("wal-%06d.log", gen)
 	for _, ent := range entries {
 		name := ent.Name()
 		var stale bool
@@ -339,8 +336,6 @@ func sweepStale(fs fsio.FS, dir string, gen, genSeq uint64, notes *[]string) {
 		case strings.HasSuffix(name, ".tmp"):
 			stale = true
 		case strings.HasPrefix(name, "gen-") && ent.IsDir() && name != keepDir:
-			stale = true
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") && name != keepWAL:
 			stale = true
 		default:
 			if seq, ok := segmentSeq(name); ok && (gen == 0 || seq <= genSeq) {
@@ -560,6 +555,10 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 		cp.Vendors == nil || cp.Products == nil {
 		return fmt.Errorf("store: incomplete checkpoint")
 	}
+	if cp.Index != nil && cp.Index.Entries() != len(cp.Cleaned.Entries) {
+		return fmt.Errorf("store: index covers %d entries, cleaned snapshot has %d",
+			cp.Index.Entries(), len(cp.Cleaned.Entries))
+	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.mu.Lock()
@@ -612,10 +611,10 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 	// written strictly last, since its presence certifies the rest.
 	var g parallel.Group
 	g.Go(func() error {
-		return write(originalFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Original) })
+		return write(originalFile, func(w io.Writer) error { return cve.WriteSnapshot(w, cp.Original) })
 	})
 	g.Go(func() error {
-		return write(cleanedFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Cleaned) })
+		return write(cleanedFile, func(w io.Writer) error { return cve.WriteSnapshot(w, cp.Cleaned) })
 	})
 	g.Go(func() error {
 		return write(vendorsFile, func(w io.Writer) error { return cp.Vendors.WriteJSON(w) })
@@ -632,10 +631,6 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 		})
 	}
 	if cp.Index != nil {
-		if cp.Index.Entries() != len(cp.Cleaned.Entries) {
-			return fmt.Errorf("store: index covers %d entries, cleaned snapshot has %d",
-				cp.Index.Entries(), len(cp.Cleaned.Entries))
-		}
 		for s := 0; s < numShards; s++ {
 			s := s
 			g.Go(func() error {
@@ -840,7 +835,7 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	if m.Kind != manifestKind {
-		return nil, fmt.Errorf("manifest: unexpected kind %q", m.Kind)
+		return nil, &UnsupportedFormatError{Kind: m.Kind}
 	}
 	files := make(map[string][]byte, len(m.Files))
 	var segDamage []string
@@ -866,9 +861,8 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 		return data, nil
 	}
 
-	// The two snapshots, the reuse state and the engine are the large
-	// documents; decode them concurrently. The consolidation maps are
-	// small enough to decode inline.
+	// Decode the documents concurrently; every decoder has finished
+	// before this function returns, whatever the outcome.
 	cp := &Checkpoint{Generation: m.Generation, Seq: m.Seq}
 	var g parallel.Group
 	decode := func(file string, fn func([]byte) error) {
@@ -884,11 +878,11 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 		})
 	}
 	decode(originalFile, func(data []byte) (err error) {
-		cp.Original, err = cve.ReadFeed(bytes.NewReader(data))
+		cp.Original, err = cve.ReadSnapshot(data)
 		return err
 	})
 	decode(cleanedFile, func(data []byte) (err error) {
-		cp.Cleaned, err = cve.ReadFeed(bytes.NewReader(data))
+		cp.Cleaned, err = cve.ReadSnapshot(data)
 		return err
 	})
 	decode(stateFile, func(data []byte) error {
@@ -900,16 +894,14 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 			return err
 		})
 	}
-	if data, err := need(vendorsFile); err != nil {
-		return nil, err
-	} else if cp.Vendors, err = naming.ReadMapJSON(bytes.NewReader(data)); err != nil {
-		return nil, fmt.Errorf("%s: %w", vendorsFile, err)
-	}
-	if data, err := need(productsFile); err != nil {
-		return nil, err
-	} else if cp.Products, err = naming.ReadProductMapJSON(bytes.NewReader(data)); err != nil {
-		return nil, fmt.Errorf("%s: %w", productsFile, err)
-	}
+	decode(vendorsFile, func(data []byte) (err error) {
+		cp.Vendors, err = naming.ReadMapJSON(bytes.NewReader(data))
+		return err
+	})
+	decode(productsFile, func(data []byte) (err error) {
+		cp.Products, err = naming.ReadProductMapJSON(bytes.NewReader(data))
+		return err
+	})
 	if err := g.Wait(); err != nil {
 		return nil, err
 	}

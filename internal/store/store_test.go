@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -450,7 +452,7 @@ func TestRecoveryInterruptedCommit(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "gen-000002.tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "gen-000002.tmp", "original.json"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "gen-000002.tmp", originalFile), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Build the orphan by copying generation 1's files.
@@ -547,50 +549,58 @@ func TestRecoveryMissingCurrent(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration proves a pre-segmentation store — one
-// wal-NNNNNN.log beside its generation — reopens with the log adopted
-// as the first segment and every record intact (the frame format never
-// changed, so the rename is the whole migration).
-func TestLegacyWALMigration(t *testing.T) {
+// TestOpenRefusesUnsupportedFormat proves a store whose checkpoint was
+// written in another format (here the JSON-snapshot format that
+// preceded "nvdstore-checkpoint-v2") fails to open with an error naming
+// that format, and is left exactly as found: no cold-boot sweep of its
+// delta log, and no fallback to another generation.
+func TestOpenRefusesUnsupportedFormat(t *testing.T) {
 	dir := t.TempDir()
 	s, _, _, _ := mustOpen(t, dir)
 	if err := s.Commit(testCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 2; i++ {
-		if err := s.AppendDelta(testDelta(i)); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.AppendDelta(testDelta(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendDelta(testDelta(2)); err != nil {
+		t.Fatal(err)
 	}
 	s.Close()
-	// Reshape the directory as the old layout left it.
-	if err := os.Rename(filepath.Join(dir, "log-000001"), filepath.Join(dir, "wal-000001.log")); err != nil {
+	mpath := filepath.Join(dir, "gen-000001", manifestFile)
+	mb, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb = bytes.Replace(mb, []byte(`"`+manifestKind+`"`), []byte(`"nvdstore-checkpoint"`), 1)
+	if err := os.WriteFile(mpath, mb, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, cp, deltas, notes := mustOpen(t, dir)
-	if cp == nil || len(deltas) != 2 {
-		t.Fatalf("migration recovered %d deltas (notes %v)", len(deltas), notes)
-	}
-	migrated := false
-	for _, n := range notes {
-		if strings.Contains(n, "migrated legacy delta log") {
-			migrated = true
+	for _, lost := range []string{"", currentFile} {
+		if lost != "" {
+			// Without CURRENT the gen-* scan finds the same checkpoint
+			// and must refuse it the same way.
+			if err := os.Remove(filepath.Join(dir, lost)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if !migrated {
-		t.Errorf("no migration note: %v", notes)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "wal-000001.log")); !os.IsNotExist(err) {
-		t.Error("legacy log still present after migration")
-	}
-	if err := s2.AppendDelta(testDelta(3)); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	_, _, deltas, _ = mustOpen(t, dir)
-	if len(deltas) != 3 {
-		t.Fatalf("append after migration lost records: %d deltas", len(deltas))
+		_, cp, _, _, err := Open(dir)
+		var unsupported *UnsupportedFormatError
+		if err == nil || cp != nil || !errors.As(err, &unsupported) {
+			t.Fatalf("Open = (%v, %v), want an UnsupportedFormatError", cp, err)
+		}
+		if !strings.Contains(err.Error(), `"nvdstore-checkpoint"`) {
+			t.Errorf("error does not name the format: %v", err)
+		}
+		for _, name := range []string{segmentName(1), segmentName(2), "gen-000001"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Errorf("%s not kept after a refused open: %v", name, err)
+			}
+		}
 	}
 }
 
