@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"nvdclean"
+	"nvdclean/internal/cve"
 	"nvdclean/internal/replica"
 	"nvdclean/internal/store"
 )
@@ -315,11 +316,7 @@ func (f *follower) fold(ctx context.Context) error {
 		return fmt.Errorf("no serving generation to fold deltas into")
 	}
 	start := time.Now()
-	merged := st.res.Original
-	for _, d := range f.unapplied {
-		merged = merged.ApplyDelta(d)
-	}
-	total := nvdclean.Diff(st.res.Original, merged)
+	total := cve.NetDelta(st.res.Original, f.unapplied...)
 	n := uint64(len(f.unapplied))
 	if total.Empty() {
 		f.unapplied = nil

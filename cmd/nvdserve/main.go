@@ -234,12 +234,8 @@ func run(cfg serveConfig) error {
 			return fmt.Errorf("restoring checkpoint: %w", err)
 		}
 		// Fold the logged deltas into one and re-clean just that.
-		merged := res.Original
-		for _, d := range logged {
-			merged = merged.ApplyDelta(d)
-		}
 		var st *serveState
-		if total := nvdclean.Diff(res.Original, merged); !total.Empty() {
+		if total := cve.NetDelta(res.Original, logged...); !total.Empty() {
 			// The checkpoint's own view — carrying its restored lazy
 			// index — becomes the base generation; the logged deltas
 			// then advance it incrementally, exactly as POST /feed

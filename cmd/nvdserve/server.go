@@ -159,13 +159,13 @@ func (s *server) load(ctx context.Context, snap *nvdclean.Snapshot) error {
 	return nil
 }
 
-// newState builds one serving generation: backported scores are
-// materialized into the cleaned snapshot (so severity indexes and the
-// persisted cleaned feed are entry-local), and the query indexes are
-// either built in full or, given the previous generation, advanced
-// incrementally from the cleaned-view delta — the Diff of the two
-// cleaned snapshots, which also captures consolidation flips on
-// entries the feed delta never named. Untouched index shards are
+// newState builds one serving generation: the query indexes are either
+// built in full or, given the previous generation, advanced
+// incrementally from the cleaned-view delta CleanDelta returned, which
+// also captures consolidation flips and re-scored entries the feed
+// delta never named. newState writes to no cleaned entry: entries are
+// immutable and shared with the previous generation, its readers and
+// any queued checkpoint. Untouched index shards are
 // shared between generations, and so are the previous generation's
 // pre-encoded /cve responses: an entry neither delta names serves the
 // exact bytes it served last generation, copied forward by reference.
@@ -175,7 +175,6 @@ func (s *server) load(ctx context.Context, snap *nvdclean.Snapshot) error {
 // the cleaned entry bytes equal, so the feed delta's IDs are stale
 // even when the cleaned diff never names them.
 func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvdclean.Delta, restored *store.Index, dur time.Duration, gen int, incremental, warm bool) *serveState {
-	nvdclean.ApplyBackport(res.Cleaned, res.Backport)
 	byID := make(map[string]*nvdclean.Entry, res.Cleaned.Len())
 	for _, e := range res.Cleaned.Entries {
 		byID[e.ID] = e
@@ -194,7 +193,7 @@ func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvd
 		// BuildIndex over the feed.
 		st.idx = restored
 	case prev != nil && prev.idx != nil:
-		cleanedDelta := nvdclean.Diff(prev.res.Cleaned, res.Cleaned)
+		cleanedDelta := res.CleanedDelta
 		idx, err := prev.idx.Update(cleanedDelta, func(id string) *cve.Entry {
 			return prev.byID[id]
 		}, res.Cleaned, s.opts.Concurrency)
@@ -962,10 +961,9 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 // maybeCompact folds the delta log down once enough records accumulate
 // in the active segment: it seals the segment (O(1)) and hands a
 // checkpoint of the sealed generation to the background committer, so
-// the handler never pays the checkpoint write. The checkpoint document
-// is assembled here — before the generation swap, while no reader can
-// hold res — because StoreCheckpoint materializes backported scores
-// into the cleaned snapshot; only the disk write leaves the handler.
+// the handler never pays the checkpoint write. The checkpoint only
+// references res, whose entries are immutable, so the committer encodes
+// it while readers serve the same entries.
 // With -compact-sync (or no committer) the commit runs inline, the
 // pre-commit-queue behavior.
 func (s *server) maybeCompact(res *nvdclean.Result, idx *store.Index, summary map[string]any) {
@@ -998,18 +996,15 @@ func (s *server) maybeCompact(res *nvdclean.Result, idx *store.Index, summary ma
 
 // upsertDelta builds the delta for a partial feed: posted entries are
 // added or modified; nothing is removed. This matches the NVD's
-// "modified" data feed semantics.
+// "modified" data feed semantics. Current entries are found by binary
+// search: a Result's Original is always sorted by ID.
 func upsertDelta(cur, posted *nvdclean.Snapshot) *nvdclean.Delta {
 	d := &nvdclean.Delta{CapturedAt: posted.CapturedAt}
 	if d.CapturedAt.IsZero() {
 		d.CapturedAt = cur.CapturedAt
 	}
-	byID := make(map[string]*nvdclean.Entry, cur.Len())
-	for _, e := range cur.Entries {
-		byID[e.ID] = e
-	}
 	for _, e := range posted.Entries {
-		prev := byID[e.ID]
+		prev := cur.Search(e.ID)
 		switch {
 		case prev == nil:
 			d.Added = append(d.Added, e)

@@ -7,7 +7,6 @@ package cve
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -211,21 +210,16 @@ type Snapshot struct {
 	// CapturedAt records when the snapshot was taken (the paper's was
 	// May 21, 2018).
 	CapturedAt time.Time
-	// Entries holds every CVE, sorted by ID.
+	// Entries holds every CVE, normally sorted by IDLess. The decoders
+	// keep the order they read; Sort and ApplyDelta produce sorted
+	// entries.
 	Entries []*Entry
 }
 
-// Sort orders entries by (year, sequence).
-func (s *Snapshot) Sort() {
-	sort.Slice(s.Entries, func(i, j int) bool {
-		yi, si, _ := SplitID(s.Entries[i].ID)
-		yj, sj, _ := SplitID(s.Entries[j].ID)
-		if yi != yj {
-			return yi < yj
-		}
-		return si < sj
-	})
-}
+// Sort orders entries by IDLess — (year, sequence), then the ID
+// string — keeping the input order of entries that share an ID. An
+// already sorted snapshot costs one comparison pass.
+func (s *Snapshot) Sort() { sortEntries(s.Entries) }
 
 // Len returns the number of entries.
 func (s *Snapshot) Len() int { return len(s.Entries) }

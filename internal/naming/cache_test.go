@@ -27,7 +27,7 @@ func TestCachedAnalysisMatchesUncached(t *testing.T) {
 		if !reflect.DeepEqual(gotV.Pairs, baseV.Pairs) {
 			t.Fatalf("pass %d: cached vendor pairs differ", pass)
 		}
-		gotP := AnalyzeProductsCached(snap, 2, prods)
+		gotP := AnalyzeProductsCached(snap, nil, 2, prods)
 		if !reflect.DeepEqual(gotP.Pairs, baseP.Pairs) {
 			t.Fatalf("pass %d: cached product pairs differ", pass)
 		}
@@ -47,8 +47,35 @@ func TestCachedAnalysisMatchesUncached(t *testing.T) {
 	mod := snap.Clone()
 	mod.Entries[0].CPEs[0].Product = mod.Entries[0].CPEs[0].Product + "_v2"
 	want := AnalyzeProductsN(mod, 1)
-	got := AnalyzeProductsCached(mod, 4, prods)
+	got := AnalyzeProductsCached(mod, nil, 4, prods)
 	if !reflect.DeepEqual(got.Pairs, want.Pairs) {
 		t.Fatal("warm cache produced wrong pairs after catalog change")
+	}
+}
+
+// TestProductSurveyThroughVendorMap: surveying the original names
+// through a vendor map is the survey of the vendor-consolidated
+// snapshot, which the map need not rewrite.
+func TestProductSurveyThroughVendorMap(t *testing.T) {
+	snap, _, _, err := gen.Generate(gen.TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := AnalyzeVendors(snap).Consolidate(HeuristicJudge{})
+	if vm.Len() == 0 {
+		t.Fatal("fixture consolidates no vendors")
+	}
+	applied := snap.Clone()
+	vm.Apply(applied)
+	want := AnalyzeProductsN(applied, 2)
+	before := snap.Clone()
+	got := AnalyzeProductsCached(snap, vm, 2, NewProductCache())
+	if !reflect.DeepEqual(got.Pairs, want.Pairs) || !reflect.DeepEqual(got.CVECount, want.CVECount) {
+		t.Fatal("survey through the vendor map differs from the survey of the mapped snapshot")
+	}
+	for i, e := range before.Entries {
+		if !e.Equal(snap.Entries[i]) {
+			t.Fatalf("%s: the survey rewrote an entry", e.ID)
+		}
 	}
 }

@@ -125,27 +125,34 @@ func AnalyzeProducts(snap *cve.Snapshot) *ProductAnalysis {
 // AnalyzeProductsN is AnalyzeProducts with an explicit worker bound
 // (zero means GOMAXPROCS).
 func AnalyzeProductsN(snap *cve.Snapshot, workers int) *ProductAnalysis {
-	return AnalyzeProductsCached(snap, workers, nil)
+	return AnalyzeProductsCached(snap, nil, workers, nil)
 }
 
-// AnalyzeProductsCached is AnalyzeProductsN with an optional per-vendor
-// cache shared across runs (nil re-surveys everything). Vendors are
-// mutually independent — every heuristic blocks within one vendor's
-// catalog — so each worker surveys whole vendors, writing its sorted
-// pair block into the vendor's slot; concatenating the blocks in
-// sorted-vendor order yields the same (Vendor, A, B)-sorted pair list
-// at any concurrency, with or without a cache.
-func AnalyzeProductsCached(snap *cve.Snapshot, workers int, cache *ProductCache) *ProductAnalysis {
+// AnalyzeProductsCached is AnalyzeProductsN with two options. A
+// non-nil vendor map surveys every CPE under its consolidated vendor
+// name, exactly as if the map had been applied to the snapshot first,
+// without rewriting a single entry. A non-nil per-vendor cache is
+// shared across runs (nil re-surveys everything). Vendors are mutually
+// independent — every heuristic blocks within one vendor's catalog — so
+// each worker surveys whole vendors, writing its sorted pair block into
+// the vendor's slot; concatenating the blocks in sorted-vendor order
+// yields the same (Vendor, A, B)-sorted pair list at any concurrency,
+// with or without a cache.
+func AnalyzeProductsCached(snap *cve.Snapshot, vmap *Map, workers int, cache *ProductCache) *ProductAnalysis {
 	pa := &ProductAnalysis{CVECount: make(map[[2]string]int)}
 	perVendor := make(map[string]map[string]struct{})
 	for _, e := range snap.Entries {
 		seen := make(map[[2]string]bool, len(e.CPEs))
 		for _, n := range e.CPEs {
-			k := [2]string{n.Vendor, n.Product}
-			set := perVendor[n.Vendor]
+			vendor := n.Vendor
+			if vmap != nil {
+				vendor = vmap.Canonical(vendor)
+			}
+			k := [2]string{vendor, n.Product}
+			set := perVendor[vendor]
 			if set == nil {
 				set = make(map[string]struct{})
-				perVendor[n.Vendor] = set
+				perVendor[vendor] = set
 			}
 			set[n.Product] = struct{}{}
 			if !seen[k] {

@@ -111,11 +111,20 @@ type Options struct {
 
 // Result is the outcome of a Clean run.
 type Result struct {
-	// Original is the snapshot as given (untouched).
+	// Original is the snapshot as given, sorted by ID: Clean sorts a
+	// copy of an unsorted input and never modifies it.
 	Original *Snapshot
-	// Cleaned is the rectified snapshot: consolidated names, corrected
-	// CWE fields.
+	// Cleaned is the rectified snapshot, index-aligned with Original:
+	// consolidated names, corrected CWE fields, and backported scores in
+	// the PV3 field. Its entries are immutable and shared with later
+	// generations wherever cleaning leaves them unchanged; treat them as
+	// read-only.
 	Cleaned *Snapshot
+	// CleanedDelta is set by CleanDelta: the delta turning the previous
+	// Result's Cleaned into this one, equal to Diff(prev.Cleaned,
+	// Cleaned) but assembled from the entries this run built. It is nil
+	// for Clean and RestoreResult.
+	CleanedDelta *Delta
 
 	// EstimatedDisclosure maps CVE ID to the §4.1 estimated disclosure
 	// date (empty when no Transport was given).
@@ -151,13 +160,19 @@ type Result struct {
 // snapshot and all intermediate artifacts. snap itself is not modified.
 //
 // Internally Clean is a staged DAG over internal/pipeline: the §4.1
-// reference crawl reads only the original snapshot while the §4.2
-// naming consolidation and §4.4 CWE correction rewrite disjoint fields
-// of the clone, so all three overlap and join before the §4.3 severity
-// step (which needs the corrected clone). The scheduler splits
-// opts.Concurrency across the stages in flight, and every stage
-// observes ctx. The returned Result also carries the state CleanDelta
-// needs to reprocess a feed delta incrementally.
+// reference crawl, the §4.2 name surveys and the §4.4 CWE correction
+// all read the original snapshot and overlap; one materialization step
+// then builds each cleaned entry from its original, the consolidation
+// maps and its CWE outcome, ahead of the §4.3 severity step (which
+// needs the corrected entries) and its backported scores. The
+// scheduler splits opts.Concurrency across the stages in flight, and
+// every stage observes ctx. The returned Result also carries the state
+// CleanDelta needs to reprocess a feed delta incrementally.
 func Clean(ctx context.Context, snap *Snapshot, opts Options) (*Result, error) {
+	if snap != nil && !snap.Sorted() {
+		sorted := &Snapshot{CapturedAt: snap.CapturedAt, Entries: append([]*Entry(nil), snap.Entries...)}
+		sorted.Sort()
+		snap = sorted
+	}
 	return runClean(ctx, snap, opts, nil)
 }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
+	"nvdclean/internal/cpe"
 	"nvdclean/internal/crawler"
 	"nvdclean/internal/cve"
 	"nvdclean/internal/cwe"
@@ -17,16 +20,15 @@ import (
 )
 
 // Artifact keys of the cleaning pipeline's stage graph. The seeded
-// inputs are "original" (the untouched snapshot) and "cleaned" (the
-// clone the rewriting stages work on); each stage provides the typed
-// result named after it.
+// input is "original", the untouched snapshot every survey reads; each
+// stage provides the typed result named after it.
 const (
 	artOriginal = "original" // *Snapshot: the input, never modified
-	artCleaned  = "cleaned"  // *Snapshot: the clone the stages rewrite
 	artCrawl    = "crawl"    // crawler.Stats: §4.1 aggregate accounting
 	artVendors  = "vendors"  // *naming.Map: §4.2 vendor consolidation
 	artProducts = "products" // *naming.ProductMap: §4.2 product consolidation
 	artCWE      = "cwe"      // *predict.CWECorrection: §4.4 summary
+	artCleaned  = "cleaned"  // *Snapshot: the materialized cleaned twin
 	artSeverity = "severity" // *predict.Engine: §4.3 trained zoo
 )
 
@@ -83,27 +85,27 @@ type incState struct {
 }
 
 // reuseState tells a run which pieces of the previous Result still
-// apply: the per-entry artifact maps plus the set of entry IDs the
-// feed delta left untouched.
+// apply: its per-entry artifacts and cleaned entries, for every entry
+// the feed delta did not name.
 type reuseState struct {
-	prev         *incState
-	prevEngine   *predict.Engine
-	prevBackport map[string]float64
-	unchanged    map[string]bool
+	prev *Result
+	// changed holds the IDs the feed delta added or modified.
+	changed map[string]bool
 }
 
-// runClean executes the stage graph on snap. With ru == nil every
-// stage computes from scratch (a full Clean); with a reuse state the
-// stages replay per-entry artifacts for unchanged entries and only
-// process the delta. Both paths produce bit-identical Results for the
-// same merged snapshot — the invariant the equivalence tests enforce.
+// runClean executes the stage graph on snap, which must be sorted by
+// ID. With ru == nil every stage computes from scratch (a full Clean);
+// with a reuse state the stages replay per-entry artifacts for
+// unchanged entries, only process the delta, and share every cleaned
+// entry whose inputs did not move. Both paths produce bit-identical
+// Results for the same merged snapshot — the invariant the equivalence
+// tests enforce.
 func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState) (*Result, error) {
 	if snap == nil || snap.Len() == 0 {
 		return nil, fmt.Errorf("nvdclean: empty snapshot")
 	}
 	res := &Result{
 		Original:            snap,
-		Cleaned:             snap.Clone(),
 		EstimatedDisclosure: make(map[string]time.Time),
 		LagDays:             make(map[string]int),
 		VendorChanged:       make(map[string]bool),
@@ -114,22 +116,21 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		prods:  naming.NewProductCache(),
 		cweFix: make(map[string]predict.EntryCorrection, snap.Len()),
 	}
+	m := &materializer{orig: snap, ru: ru}
 	if ru != nil {
 		// The memo caches validate their own entries (LCS is pure,
 		// product blocks re-check catalogs), so carrying them over is
 		// always sound.
-		st.lcs = ru.prev.lcs
-		st.prods = ru.prev.prods
+		st.lcs = ru.prev.inc.lcs
+		st.prods = ru.prev.inc.prods
 	}
 	res.inc = st
 
 	eng := pipeline.New(opts.Concurrency)
 	store := pipeline.NewStore()
 	store.Put(artOriginal, snap)
-	store.Put(artCleaned, res.Cleaned)
 
-	// §4.1: disclosure dates via reference crawling. Reads only the
-	// untouched original snapshot.
+	// §4.1: disclosure dates via reference crawling.
 	if opts.Transport != nil {
 		eng.Add(pipeline.Stage{
 			Name:     "crawl",
@@ -146,11 +147,11 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 				}
 				st.crawl = make(map[string]crawlArtifact, snap.Len())
 				toCrawl := snap.Entries
-				if ru != nil && ru.prev.crawl != nil {
+				if ru != nil && ru.prev.inc.crawl != nil {
 					toCrawl = nil
 					for _, e := range snap.Entries {
-						if ru.unchanged[e.ID] {
-							if a, ok := ru.prev.crawl[e.ID]; ok {
+						if !ru.changed[e.ID] {
+							if a, ok := ru.prev.inc.crawl[e.ID]; ok {
 								st.crawl[e.ID] = a
 								continue
 							}
@@ -181,17 +182,16 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		})
 	}
 
-	// §4.2, vendors first: consolidation rewrites only the clone, as
-	// the paper does before surveying products.
+	// §4.2, vendors first, surveyed on the original names.
 	eng.Add(pipeline.Stage{
 		Name:     "vendors",
-		Needs:    []string{artCleaned},
+		Needs:    []string{artOriginal},
 		Provides: []string{artVendors},
 		Run: func(ctx context.Context, w int, s *pipeline.Store) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			va := naming.AnalyzeVendorsCached(res.Cleaned, w, st.lcs)
+			va := naming.AnalyzeVendorsCached(snap, w, st.lcs)
 			// Bound the memo by the live name set: a long-running
 			// daemon otherwise accumulates scores for every name that
 			// ever passed through the feed.
@@ -200,23 +200,14 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 				return ok
 			})
 			res.VendorMap = va.Consolidate(naming.HeuristicJudge{})
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for _, e := range res.Cleaned.Entries {
-				for _, n := range e.CPEs {
-					if res.VendorMap.Mapped(n.Vendor) {
-						res.VendorChanged[e.ID] = true
-					}
-				}
-			}
-			res.VendorMap.Apply(res.Cleaned)
 			s.Put(artVendors, res.VendorMap)
 			return nil
 		},
 	})
 
-	// §4.2, products under the consolidated vendors.
+	// §4.2, products under the consolidated vendors: the survey reads
+	// each original (vendor, product) pair through the vendor map, as
+	// the paper surveys products after consolidating vendors.
 	eng.Add(pipeline.Stage{
 		Name:     "products",
 		Needs:    []string{artVendors},
@@ -225,54 +216,40 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			pa := naming.AnalyzeProductsCached(res.Cleaned, w, st.prods)
+			pa := naming.AnalyzeProductsCached(snap, res.VendorMap, w, st.prods)
 			live := make(map[string]bool)
 			for k := range pa.CVECount {
 				live[k[0]] = true
 			}
 			st.prods.Prune(func(vendor string) bool { return live[vendor] })
 			res.ProductMap = pa.Consolidate(naming.HeuristicProductJudge{})
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for _, e := range res.Cleaned.Entries {
-				for _, n := range e.CPEs {
-					if res.ProductMap.Canonical(n.Vendor, n.Product) != n.Product {
-						res.ProductChanged[e.ID] = true
-					}
-				}
-			}
-			res.ProductMap.Apply(res.Cleaned)
 			s.Put(artProducts, res.ProductMap)
 			return nil
 		},
 	})
 
-	// §4.4: CWE field correction. Touches only the CWE field, so it
-	// overlaps the naming stages on the same clone.
+	// §4.4: CWE field correction, computed from the original entries
+	// alongside the naming stages.
 	eng.Add(pipeline.Stage{
 		Name:     "cwe",
-		Needs:    []string{artCleaned},
+		Needs:    []string{artOriginal},
 		Provides: []string{artCWE},
 		Run: func(ctx context.Context, w int, s *pipeline.Store) error {
 			reg := cwe.NewRegistry()
 			cor := &predict.CWECorrection{}
-			for i, e := range res.Cleaned.Entries {
+			m.cwe = make([]predict.EntryCorrection, snap.Len())
+			for i, e := range snap.Entries {
 				if i%1024 == 0 {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
 				}
-				var ec predict.EntryCorrection
-				if cached, ok := cachedCorrection(ru, e.ID); ok {
-					ec = cached
-				} else {
+				ec, ok := cachedCorrection(ru, e.ID)
+				if !ok {
 					ec = predict.CorrectEntryCWEs(e, reg)
 				}
 				st.cweFix[e.ID] = ec
-				if ec.Changed {
-					e.CWEs = append([]cwe.ID(nil), ec.CWEs...)
-				}
+				m.cwe[i] = ec
 				cor.Record(ec)
 			}
 			res.CWECorrection = cor
@@ -281,12 +258,28 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		},
 	})
 
-	// §4.3: CVSS v3 severity backporting, which needs the corrected
-	// clone (consolidated names and fixed CWE types).
+	// Materialize the cleaned twin: consolidated names and corrected
+	// CWE fields, reusing every previous cleaned entry they leave as is.
+	eng.Add(pipeline.Stage{
+		Name:     "cleaned",
+		Needs:    []string{artProducts, artCWE},
+		Provides: []string{artCleaned},
+		Run: func(ctx context.Context, w int, s *pipeline.Store) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			res.Cleaned = m.build(res)
+			s.Put(artCleaned, res.Cleaned)
+			return nil
+		},
+	})
+
+	// §4.3: CVSS v3 severity backporting, which needs the cleaned twin
+	// (consolidated names and fixed CWE types).
 	if !opts.SkipSeverity {
 		eng.Add(pipeline.Stage{
 			Name:     "severity",
-			Needs:    []string{artProducts, artCWE},
+			Needs:    []string{artCleaned},
 			Provides: []string{artSeverity},
 			Run: func(ctx context.Context, w int, s *pipeline.Store) error {
 				if err := ctx.Err(); err != nil {
@@ -294,13 +287,13 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 				}
 				st.fp = predict.DatasetFingerprint(res.Cleaned, opts.Seed)
 				st.sig = trainSigOf(opts)
-				if ru != nil && ru.prev.trained && ru.prevEngine != nil &&
-					ru.prev.fp == st.fp && ru.prev.sig == st.sig {
+				if ru != nil && ru.prev.inc.trained && ru.prev.Engine != nil &&
+					ru.prev.inc.fp == st.fp && ru.prev.inc.sig == st.sig {
 					// Warm start: identical dataset and training
 					// config reproduce the engine bit for bit, so the
 					// previous one carries over and only entries the
 					// delta touched are re-scored.
-					res.Engine = ru.prevEngine
+					res.Engine = ru.prev.Engine
 					if err := backportDelta(res, ru, w); err != nil {
 						return err
 					}
@@ -332,16 +325,190 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 	if err := eng.Run(ctx, store); err != nil {
 		return nil, err
 	}
+	m.settleScores(res.Backport)
+	if ru != nil {
+		res.CleanedDelta = m.delta()
+	}
 	return res, nil
+}
+
+// materializer builds the cleaned twin of each original entry from
+// five inputs: the entry itself, the vendor map, the product map, the
+// entry's §4.4 outcome and its backported score. A cleaned entry is
+// immutable once published: later generations, queued checkpoints and
+// readers share it by pointer, and nothing but the materializer writes
+// to an entry — and only to one it built in the same run. Given a
+// previous Result, an entry the feed delta did not name is reused when
+// its names map the same way, its CWE outcome is unchanged and its
+// score is unchanged; everything else is built fresh.
+type materializer struct {
+	orig *Snapshot
+	ru   *reuseState // nil on a full Clean
+	// cwe[i] is entry i's §4.4 outcome, filled by the cwe stage.
+	cwe []predict.EntryCorrection
+
+	cleaned *Snapshot
+	// twin[i] is entry i's previous cleaned entry (nil when none), and
+	// fresh[i] marks an entry this run built.
+	twin  []*Entry
+	fresh []bool
+}
+
+// build materializes names and CWE fields, recording the per-entry
+// consolidation marks on res. Scores are settled after the severity
+// stage, which reads this snapshot.
+func (m *materializer) build(res *Result) *Snapshot {
+	vm, pm := res.VendorMap, res.ProductMap
+	n := m.orig.Len()
+	m.cleaned = &Snapshot{CapturedAt: m.orig.CapturedAt, Entries: make([]*Entry, n)}
+	m.twin = make([]*Entry, n)
+	m.fresh = make([]bool, n)
+	m.alignTwins()
+	for i, o := range m.orig.Entries {
+		p := m.twin[i]
+		reuse := p != nil && !m.ru.changed[o.ID] && len(p.CPEs) == len(o.CPEs) &&
+			slices.Equal(p.CWEs, cleanedCWEs(o, m.cwe[i]))
+		for k, c := range o.CPEs {
+			v := vm.Canonical(c.Vendor)
+			prod := pm.Canonical(v, c.Product)
+			if v != c.Vendor {
+				res.VendorChanged[o.ID] = true
+			}
+			if prod != c.Product {
+				res.ProductChanged[o.ID] = true
+			}
+			if reuse && (p.CPEs[k].Vendor != v || p.CPEs[k].Product != prod) {
+				reuse = false
+			}
+		}
+		if reuse {
+			m.cleaned.Entries[i] = p
+			continue
+		}
+		m.cleaned.Entries[i] = cleanEntry(o, vm, pm, m.cwe[i])
+		m.fresh[i] = true
+	}
+	return m.cleaned
+}
+
+// alignTwins finds each entry's previous cleaned entry. Entries the
+// feed delta did not name are the previous Original's own pointers, in
+// the same order, and its Cleaned is index-aligned with it, so one
+// forward walk pairs them; named entries are looked up by binary
+// search.
+func (m *materializer) alignTwins() {
+	if m.ru == nil {
+		return
+	}
+	prev := m.ru.prev
+	po, pc := prev.Original.Entries, prev.Cleaned.Entries
+	j := 0
+	for i, o := range m.orig.Entries {
+		if m.ru.changed[o.ID] {
+			m.twin[i] = prev.Cleaned.Search(o.ID)
+			continue
+		}
+		k := j
+		for k < len(po) && po[k] != o {
+			k++
+		}
+		if k < len(po) && k < len(pc) && pc[k].ID == o.ID {
+			m.twin[i] = pc[k]
+			j = k + 1
+		}
+	}
+}
+
+// cleanedCWEs is the CWE field the §4.4 outcome gives entry o.
+func cleanedCWEs(o *Entry, ec predict.EntryCorrection) []cwe.ID {
+	if ec.Changed {
+		return ec.CWEs
+	}
+	return o.CWEs
+}
+
+// cleanEntry builds o's cleaned twin with o's score. It shares o's
+// immutable slices and pointers wherever cleaning leaves a field as it
+// is; names and CWEs get fresh slices only when rewritten.
+func cleanEntry(o *Entry, vm *naming.Map, pm *naming.ProductMap, ec predict.EntryCorrection) *Entry {
+	c := *o
+	copied := false
+	for k, n := range o.CPEs {
+		v := vm.Canonical(n.Vendor)
+		prod := pm.Canonical(v, n.Product)
+		if v == n.Vendor && prod == n.Product {
+			continue
+		}
+		if !copied {
+			c.CPEs = append([]cpe.Name(nil), o.CPEs...)
+			copied = true
+		}
+		c.CPEs[k].Vendor, c.CPEs[k].Product = v, prod
+	}
+	if ec.Changed {
+		c.CWEs = append([]cwe.ID(nil), ec.CWEs...)
+	}
+	return &c
+}
+
+// settleScores gives every cleaned entry its PV3 extension field: the
+// backported score for a v2-only entry that has one (the paper's pv3
+// scoring), the original's field otherwise. A reused entry whose score
+// moved — every v2-only entry after a retrain — is rebuilt rather than
+// written, so no shared entry changes under a reader.
+func (m *materializer) settleScores(b *predict.Backport) {
+	for i, c := range m.cleaned.Entries {
+		o := m.orig.Entries[i]
+		var score float64
+		scored := false
+		if o.V3 == nil && b != nil {
+			score, scored = b.Scores[o.ID]
+		}
+		if scored && c.PV3 != nil && math.Float64bits(*c.PV3) == math.Float64bits(score) ||
+			!scored && samePV3(c.PV3, o.PV3) {
+			continue
+		}
+		if !m.fresh[i] {
+			cc := *c
+			c = &cc
+			m.cleaned.Entries[i] = c
+			m.fresh[i] = true
+		}
+		c.PV3 = o.PV3
+		if scored {
+			c.PV3 = &score
+		}
+	}
+}
+
+func samePV3(a, b *float64) bool {
+	return a == b || a != nil && b != nil && math.Float64bits(*a) == math.Float64bits(*b)
+}
+
+// delta is the cleaned-view delta this run already knows: the entries
+// it built that differ from their previous twins. Removals are added by
+// CleanDelta, which holds the feed delta.
+func (m *materializer) delta() *Delta {
+	d := &Delta{CapturedAt: m.cleaned.CapturedAt}
+	for i, c := range m.cleaned.Entries {
+		switch p := m.twin[i]; {
+		case !m.fresh[i]:
+		case p == nil:
+			d.Added = append(d.Added, c)
+		case !p.Equal(c):
+			d.Modified = append(d.Modified, c)
+		}
+	}
+	return d
 }
 
 // cachedCorrection looks up a reusable §4.4 outcome for an unchanged
 // entry.
 func cachedCorrection(ru *reuseState, id string) (predict.EntryCorrection, bool) {
-	if ru == nil || ru.prev.cweFix == nil || !ru.unchanged[id] {
+	if ru == nil || ru.prev.inc.cweFix == nil || ru.changed[id] {
 		return predict.EntryCorrection{}, false
 	}
-	ec, ok := ru.prev.cweFix[id]
+	ec, ok := ru.prev.inc.cweFix[id]
 	return ec, ok
 }
 
@@ -356,8 +523,8 @@ func backportDelta(res *Result, ru *reuseState, workers int) error {
 		if e.V2 == nil || e.V3 != nil {
 			continue
 		}
-		if ru.unchanged[e.ID] {
-			if v, ok := ru.prevBackport[e.ID]; ok {
+		if !ru.changed[e.ID] && ru.prev.Backport != nil {
+			if v, ok := ru.prev.Backport.Scores[e.ID]; ok {
 				scores[e.ID] = v
 				continue
 			}
@@ -398,7 +565,11 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 //   - when the delta leaves the dual-labeled training split untouched
 //     (the common case — new CVEs are v2-only, which is why backporting
 //     exists) the trained engine carries over and only changed entries
-//     are re-scored.
+//     are re-scored;
+//   - every cleaned entry whose inputs did not move is the previous
+//     Result's entry, shared by pointer, and the returned CleanedDelta
+//     names the rest, so a consumer advances its own views without
+//     diffing the two snapshots.
 //
 // Bit-identity assumes opts matches the options of the previous run
 // (same Transport behavior, TopKDomains, Models, ModelConfig and Seed)
@@ -410,37 +581,40 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 		return nil, errors.New("nvdclean: CleanDelta needs a Result produced by Clean or CleanDelta")
 	}
 	merged := prev.Original.ApplyDelta(delta)
-	changed := make(map[string]bool, delta.Size())
-	for _, id := range delta.ChangedIDs() {
-		changed[id] = true
-	}
-	unchanged := make(map[string]bool, merged.Len())
-	for _, e := range merged.Entries {
-		if !changed[e.ID] {
-			unchanged[e.ID] = true
+	ru := &reuseState{prev: prev, changed: make(map[string]bool, delta.Size())}
+	if delta != nil {
+		for _, e := range delta.Added {
+			ru.changed[e.ID] = true
+		}
+		for _, e := range delta.Modified {
+			ru.changed[e.ID] = true
 		}
 	}
-	ru := &reuseState{
-		prev:       prev.inc,
-		prevEngine: prev.Engine,
-		unchanged:  unchanged,
+	res, err := runClean(ctx, merged, opts, ru)
+	if err != nil {
+		return nil, err
 	}
-	if prev.Backport != nil {
-		ru.prevBackport = prev.Backport.Scores
+	if delta != nil {
+		for _, id := range delta.Removed {
+			if prev.Cleaned.Search(id) != nil && merged.Search(id) == nil {
+				res.CleanedDelta.Removed = append(res.CleanedDelta.Removed, id)
+			}
+		}
 	}
-	return runClean(ctx, merged, opts, ru)
+	res.CleanedDelta.Sort()
+	return res, nil
 }
 
 // StoreCheckpoint snapshots everything a persistent generation store
 // needs to rebuild this Result without re-running the pipeline: both
 // snapshots, the consolidation maps, the trained engine, and the
 // incremental-reuse state (dataset fingerprint, training signature,
-// per-entry crawl and CWE artifacts, backported scores). Backported
-// scores are materialized into the cleaned snapshot's PV3 extension
-// field first (idempotently), so the persisted cleaned feed carries
-// them under the codec's backportedV3 key.
+// per-entry crawl and CWE artifacts, backported scores). The cleaned
+// entries already carry their backported scores in the PV3 extension
+// field, so the persisted cleaned snapshot holds them as built; the
+// checkpoint only references the Result's data and writes to none of
+// it.
 func (r *Result) StoreCheckpoint() *store.Checkpoint {
-	ApplyBackport(r.Cleaned, r.Backport)
 	st := &store.State{
 		Fingerprint: r.inc.fp,
 		Trained:     r.inc.trained,
@@ -487,6 +661,12 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 	if cp.Original.Len() != cp.Cleaned.Len() {
 		return nil, fmt.Errorf("nvdclean: checkpoint snapshots disagree (%d original vs %d cleaned entries)",
 			cp.Original.Len(), cp.Cleaned.Len())
+	}
+	// Every Result's Original is sorted by ID (CleanDelta's merge and
+	// ID lookups rely on it); a checkpoint written in another order came
+	// from a build with a different ID order and cannot be reused.
+	if !cp.Original.Sorted() {
+		return nil, errors.New("nvdclean: checkpoint snapshot is not in ID order; re-clean from the feed")
 	}
 	res := &Result{
 		Original:            cp.Original,
@@ -560,9 +740,12 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 
 // ApplyBackport materializes backported severity scores into the
 // snapshot's PV3 extension field so they survive WriteFeed/LoadFeed
-// round trips, returning the number of entries annotated. Entries with
-// a real v3 vector are left alone, matching the paper's pv3 scoring
-// (real v3 when present, predicted otherwise).
+// round trips, returning the number of entries that carry a backported
+// score. Entries with a real v3 vector are left alone, matching the
+// paper's pv3 scoring (real v3 when present, predicted otherwise). An
+// entry already carrying its score is not written, so on a Result's own
+// Cleaned snapshot — whose entries carry their scores from the moment
+// they are built — this is a read-only pass.
 func ApplyBackport(snap *Snapshot, b *predict.Backport) int {
 	if snap == nil || b == nil {
 		return 0
@@ -573,8 +756,9 @@ func ApplyBackport(snap *Snapshot, b *predict.Backport) int {
 			continue
 		}
 		if s, ok := b.Scores[e.ID]; ok {
-			v := s
-			e.PV3 = &v
+			if e.PV3 == nil || math.Float64bits(*e.PV3) != math.Float64bits(s) {
+				e.PV3 = &s
+			}
 			n++
 		}
 	}
