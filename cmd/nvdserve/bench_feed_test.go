@@ -23,7 +23,8 @@ import (
 //	NoCompact          the log grows, no checkpoint is ever written —
 //	                   the floor an ingest can cost.
 //	CompactSync        every ingest trips compaction and pays the full
-//	                   checkpoint write inline (-compact-sync).
+//	                   checkpoint write inline: a server with no
+//	                   committer attached, the pre-commit-queue cost.
 //	CompactBackground  every ingest trips compaction but only seals
 //	                   and enqueues; the committer pays the write.
 //
@@ -129,7 +130,7 @@ func BenchmarkFeedIngestNoCompact(b *testing.B) {
 }
 
 // BenchmarkFeedIngestCompactSync pays the full checkpoint write inside
-// every POST /feed (-compact-sync with compactEvery=1) — the stall the
+// every POST /feed (no committer, compactEvery=1) — the stall the
 // commit queue removes.
 func BenchmarkFeedIngestCompactSync(b *testing.B) {
 	benchFeedIngest(b, 1, false)

@@ -21,13 +21,13 @@ import (
 // goroutines sharing an atomic work counter, so the numbers include
 // the lock/CAS traffic a real fan-in pays, not just a single encode:
 //
-//	CVEBaseline       /cve/{id} with -read-cache=false: every request
+//	CVEBaseline       /cve/{id} through renderHandler: every request
 //	                  renders the view and marshals it — the old cost.
 //	CVECached         /cve/{id} from the per-generation byte cache: one
 //	                  encode at first hit, then copies.
 //	CVEConditional    /cve/{id} with If-None-Match matching the current
 //	                  generation — a 304, no body at all.
-//	QueryBaseline     a broad /query with -read-cache=false: index scan
+//	QueryBaseline     a broad /query through renderHandler: index scan
 //	                  plus marshal per request.
 //	QueryCached       the same /query from the canonical-key LRU.
 //
@@ -39,7 +39,7 @@ const readClients = 8
 
 // benchReadServer builds a loaded in-memory server once per benchmark.
 // LR-only: read latency does not depend on which models trained.
-func benchReadServer(b *testing.B, readCache bool) (*server, http.Handler) {
+func benchReadServer(b *testing.B) (*server, http.Handler) {
 	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -51,7 +51,6 @@ func benchReadServer(b *testing.B, readCache bool) (*server, http.Handler) {
 		Seed:        1,
 	}
 	srv := newServer(opts)
-	srv.readCache = readCache
 	if err := srv.load(context.Background(), snap); err != nil {
 		b.Fatal(err)
 	}
@@ -116,13 +115,42 @@ func cveTargets(srv *server) []string {
 	return ids
 }
 
+// renderHandler serves /cve/{id} and /query the way the daemon did
+// before per-generation response caches: through the same middleware,
+// lookup and validator, but rendering and marshaling the body on every
+// request. It is the baseline the cached read path is judged against
+// and exists only here.
+func renderHandler(srv *server) http.Handler {
+	mux := http.NewServeMux()
+	i := srv.obs.instrument
+	mux.HandleFunc("GET /cve/{id}", i("/cve/{id}", "GET", func(w http.ResponseWriter, r *http.Request) {
+		st := srv.cur.Load()
+		e, ok := st.byID[r.PathValue("id")]
+		if !ok {
+			writeError(w, http.StatusNotFound, "no entry %s", r.PathValue("id"))
+			return
+		}
+		serveRead(w, st.etagFor(false), encodeJSON(st.view(e), false))
+	}))
+	mux.HandleFunc("GET /query", i("/query", "GET", func(w http.ResponseWriter, r *http.Request) {
+		st := srv.cur.Load()
+		p, err := parseQueryParams(r.URL.Query())
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		serveRead(w, st.etagFor(p.pretty), encodeJSON(st.queryIndexed(p), p.pretty))
+	}))
+	return mux
+}
+
 // BenchmarkReadCVEBaseline renders and marshals the view on every
-// request (-read-cache=false) — the per-request-marshal floor the
-// cache is judged against.
+// request (renderHandler) — the per-request-marshal floor the cache is
+// judged against.
 func BenchmarkReadCVEBaseline(b *testing.B) {
-	srv, handler := benchReadServer(b, false)
+	srv, _ := benchReadServer(b)
 	ids := cveTargets(srv)
-	benchServe(b, handler, func(i int) *http.Request {
+	benchServe(b, renderHandler(srv), func(i int) *http.Request {
 		return httptest.NewRequest("GET", "/cve/"+ids[i%len(ids)], nil)
 	}, http.StatusOK)
 }
@@ -130,7 +158,7 @@ func BenchmarkReadCVEBaseline(b *testing.B) {
 // BenchmarkReadCVECached serves the same requests from the
 // per-generation pre-encoded byte cache.
 func BenchmarkReadCVECached(b *testing.B) {
-	srv, handler := benchReadServer(b, true)
+	srv, handler := benchReadServer(b)
 	ids := cveTargets(srv)
 	benchServe(b, handler, func(i int) *http.Request {
 		return httptest.NewRequest("GET", "/cve/"+ids[i%len(ids)], nil)
@@ -140,7 +168,7 @@ func BenchmarkReadCVECached(b *testing.B) {
 // BenchmarkReadCVEConditional sends If-None-Match with the current
 // generation's validator: the whole response is a 304.
 func BenchmarkReadCVEConditional(b *testing.B) {
-	srv, handler := benchReadServer(b, true)
+	srv, handler := benchReadServer(b)
 	ids := cveTargets(srv)
 	etag := srv.cur.Load().etagFor(false)
 	benchServe(b, handler, func(i int) *http.Request {
@@ -155,10 +183,10 @@ func BenchmarkReadCVEConditional(b *testing.B) {
 const readQueryPath = "/query?severity=High&limit=200"
 
 // BenchmarkReadQueryBaseline scans the index and marshals the response
-// on every request (-read-cache=false).
+// on every request (renderHandler).
 func BenchmarkReadQueryBaseline(b *testing.B) {
-	_, handler := benchReadServer(b, false)
-	benchServe(b, handler, func(i int) *http.Request {
+	srv, _ := benchReadServer(b)
+	benchServe(b, renderHandler(srv), func(i int) *http.Request {
 		return httptest.NewRequest("GET", readQueryPath, nil)
 	}, http.StatusOK)
 }
@@ -166,7 +194,7 @@ func BenchmarkReadQueryBaseline(b *testing.B) {
 // BenchmarkReadQueryCached serves the same query from the
 // canonical-key LRU.
 func BenchmarkReadQueryCached(b *testing.B) {
-	_, handler := benchReadServer(b, true)
+	_, handler := benchReadServer(b)
 	benchServe(b, handler, func(i int) *http.Request {
 		return httptest.NewRequest("GET", readQueryPath, nil)
 	}, http.StatusOK)
@@ -178,7 +206,7 @@ func BenchmarkReadQueryCached(b *testing.B) {
 // Prometheus server imposes at its scrape interval — it should sit in
 // the tens of microseconds, invisible next to a 10s+ interval.
 func BenchmarkMetricsScrape(b *testing.B) {
-	srv, handler := benchReadServer(b, true)
+	srv, handler := benchReadServer(b)
 	// Populate labeled children the way a live server would have them:
 	// a few hits per route so the scrape renders realistic series.
 	for _, id := range cveTargets(srv) {
@@ -209,7 +237,7 @@ func benchBareHandler(srv *server) http.Handler {
 // middleware. The p50 gap between the two, taken from the same run, is
 // the per-request cost of instrumentation.
 func BenchmarkReadCVECachedBare(b *testing.B) {
-	srv, _ := benchReadServer(b, true)
+	srv, _ := benchReadServer(b)
 	ids := cveTargets(srv)
 	benchServe(b, benchBareHandler(srv), func(i int) *http.Request {
 		return httptest.NewRequest("GET", "/cve/"+ids[i%len(ids)], nil)
@@ -219,7 +247,7 @@ func BenchmarkReadCVECachedBare(b *testing.B) {
 // BenchmarkReadQueryCachedBare is BenchmarkReadQueryCached minus the
 // middleware.
 func BenchmarkReadQueryCachedBare(b *testing.B) {
-	srv, _ := benchReadServer(b, true)
+	srv, _ := benchReadServer(b)
 	benchServe(b, benchBareHandler(srv), func(i int) *http.Request {
 		return httptest.NewRequest("GET", readQueryPath, nil)
 	}, http.StatusOK)

@@ -182,16 +182,16 @@ func BenchmarkFollowerSteadyStateLag(b *testing.B) {
 	if err := pStr.Commit(cp); err != nil {
 		b.Fatal(err)
 	}
-	pRes, err := nvdclean.RestoreResult(cp, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
 	primary := newServer(opts)
 	primary.persist = pStr
 	primary.compactEvery = 8
 	primary.committer = store.NewCommitter(pStr)
 	defer primary.committer.Close()
-	primary.cur.Store(primary.newState(pRes, nil, nil, nil, 0, 1, false, true))
+	pst, err := primary.restore(cp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	primary.publish(pst)
 	ts := httptest.NewServer(primary.handler())
 	defer ts.Close()
 

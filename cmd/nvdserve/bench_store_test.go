@@ -140,10 +140,11 @@ func restartFixture(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmRestart measures restoring a serving generation from a
+// BenchmarkWarmRestart measures the production warm boot from a
 // committed checkpoint directory — disk read, decode, Result
-// reassembly and index build; no crawling, no training, no pipeline
-// stages.
+// reassembly and the lazy index the checkpoint carries, committed with
+// its segments as load commits it; no crawling, no training, no
+// pipeline stages.
 func BenchmarkWarmRestart(b *testing.B) {
 	restartFixture(b)
 	dir := b.TempDir()
@@ -151,22 +152,22 @@ func BenchmarkWarmRestart(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := str.Commit(restartWorld.res.StoreCheckpoint()); err != nil {
+	cp := restartWorld.res.StoreCheckpoint()
+	cp.Index = store.BuildIndex(restartWorld.res.Cleaned, 0)
+	if err := str.Commit(cp); err != nil {
 		b.Fatal(err)
 	}
 	str.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		str, cp, logged, _, err := store.Open(dir)
-		if err != nil || cp == nil || len(logged) != 0 {
-			b.Fatalf("open: %v", err)
+		if err != nil || cp == nil || cp.Index == nil || len(logged) != 0 {
+			b.Fatalf("open: err=%v checkpoint=%v index=%v deltas=%d", err, cp != nil, cp != nil && cp.Index != nil, len(logged))
 		}
-		res, err := nvdclean.RestoreResult(cp, restartWorld.opts)
-		if err != nil {
+		srv := newServer(restartWorld.opts)
+		srv.persist = str
+		if err := srv.boot(context.Background(), cp, logged); err != nil {
 			b.Fatal(err)
-		}
-		if ix := store.BuildIndex(res.Cleaned, 0); ix == nil {
-			b.Fatal("nil index")
 		}
 		str.Close()
 	}

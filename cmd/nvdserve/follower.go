@@ -6,7 +6,7 @@ package main
 // it, and then tails the primary's segment bytes — appending them
 // verbatim to its local log (so stream positions, and therefore ETag
 // validators, align across the fleet) and folding the decoded deltas
-// into its serving view through the same CleanDelta+swap path POST
+// into its serving view through the same advance+publish path POST
 // /feed uses on the primary.
 //
 // Convergence: followers never coordinate with the primary beyond
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"nvdclean"
+	"nvdclean/internal/backoff"
 	"nvdclean/internal/cve"
 	"nvdclean/internal/replica"
 	"nvdclean/internal/store"
@@ -128,7 +129,7 @@ func (f *follower) run(ctx context.Context) {
 			fmt.Printf("nvdserve: replica bootstrap: %v\n", err)
 			// Jittered: a fleet of replicas booting against a down
 			// primary must not hammer it in lockstep when it returns.
-			if !sleepCtx(ctx, jitter(f.poll)) {
+			if !sleepCtx(ctx, backoff.Jitter(f.poll)) {
 				return
 			}
 			continue
@@ -140,7 +141,7 @@ func (f *follower) run(ctx context.Context) {
 			fmt.Printf("nvdserve: replica sync: %v\n", err)
 			// Failed polls back off with jitter so a primary outage
 			// does not synchronize the fleet's retry schedule.
-			wait = jitter(wait)
+			wait = backoff.Jitter(wait)
 		}
 		if wait <= 0 {
 			continue
@@ -164,7 +165,6 @@ func (f *follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
 	var cp *store.Checkpoint
 	for attempt := 1; ; attempt++ {
 		cp, err = f.srv.persist.InstallCheckpoint(rm, func(mf store.ManifestFile) (io.ReadCloser, error) {
@@ -185,18 +185,12 @@ func (f *follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	res, err := nvdclean.RestoreResult(cp, f.srv.opts)
+	st, err := f.srv.restore(cp)
 	if err != nil {
 		return fmt.Errorf("restoring shipped checkpoint: %w", err)
 	}
 	f.srv.feedMu.Lock()
-	gen := 1
-	if prev := f.srv.cur.Load(); prev != nil {
-		gen = prev.generation + 1
-	}
-	st := f.srv.newState(res, nil, nil, cp.Index, time.Since(start), gen, false, true)
-	st.restored = true
-	f.srv.cur.Store(st)
+	f.srv.publish(st)
 	// Anything pending was folded into the shipped checkpoint (the
 	// install refuses a local log ahead of its watermark).
 	f.unapplied = nil
@@ -205,7 +199,7 @@ func (f *follower) bootstrap(ctx context.Context) error {
 	f.cursorOff.Store(0)
 	f.bootstraps.Add(1)
 	fmt.Printf("nvdserve: replica bootstrapped from %s: generation %d (%d entries), tailing from segment %d\n",
-		f.client.Base(), f.srv.persist.Generation(), res.Cleaned.Len(), rm.CheckpointSeq+1)
+		f.client.Base(), f.srv.persist.Generation(), st.res.Cleaned.Len(), rm.CheckpointSeq+1)
 	return nil
 }
 
@@ -289,11 +283,7 @@ func (f *follower) apply(ctx context.Context, chunk *replica.LogChunk) error {
 		f.cursorSeq.Store(sealedSeq + 1)
 		f.cursorOff.Store(0)
 		if st := f.srv.cur.Load(); st != nil {
-			cp := st.res.StoreCheckpoint()
-			cp.Index = st.idx
-			if f.srv.committer != nil {
-				f.srv.committer.Enqueue(cp, sealedSeq)
-			} else if err := f.srv.persist.CommitSealed(cp, sealedSeq); err != nil {
+			if err := f.srv.checkpointSealed(st, sealedSeq); err != nil {
 				return err
 			}
 		}
@@ -323,13 +313,11 @@ func (f *follower) fold(ctx context.Context) error {
 		f.deltasApplied.Add(n)
 		return nil
 	}
-	res, err := nvdclean.CleanDelta(ctx, st.res, total, f.srv.opts)
+	next, err := f.srv.advance(ctx, st, total)
 	if err != nil {
 		return err
 	}
-	warm := res.Engine != nil && res.Engine == st.res.Engine
-	next := f.srv.newState(res, st, total, nil, time.Since(start), st.generation+1, true, warm)
-	f.srv.cur.Store(next)
+	f.srv.publish(next)
 	f.srv.obs.ingestDeltaEntries.Observe(float64(total.Size()))
 	f.srv.obs.ingestSwapSeconds.Observe(time.Since(start).Seconds())
 	f.unapplied = nil

@@ -2,12 +2,13 @@ package main
 
 import (
 	"errors"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"sync"
 	"syscall"
 	"time"
+
+	"nvdclean/internal/backoff"
 )
 
 // storeHealth tracks whether the persistent store can accept writes.
@@ -126,7 +127,7 @@ func (h *storeHealth) probeLoop() {
 			h.mu.Unlock()
 			return
 		}
-		delay := jitter(h.delay)
+		delay := backoff.Jitter(h.delay)
 		if h.delay *= 2; h.delay > h.probeMax {
 			h.delay = h.probeMax
 		}
@@ -233,16 +234,6 @@ func (h *storeHealth) retryAfterSeconds() int {
 		secs = 30
 	}
 	return secs
-}
-
-// jitter spreads a delay over [d/2, d) — same rationale as the store
-// committer's backoff: correlated failures must not retry in lockstep.
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + rand.N(d-half)
 }
 
 // persistUnavailable rejects a write because the store cannot make it

@@ -15,11 +15,12 @@
 // the training split untouched, reuse the trained model zoo.
 //
 // With -data-dir the daemon keeps a persistent generation store: every
-// ingested delta is logged durably before it serves, and checkpoints
-// fold the log back down (-compact-every). A restart with the same
-// -data-dir restores the last committed generation from checkpoint
-// plus log in ~O(delta) — no crawling, no training, no re-clean — and
-// the store becomes authoritative over the -feed/-demo input.
+// ingested delta is logged durably before it serves, and a background
+// committer folds the log back down into checkpoints (-compact-every).
+// A restart with the same -data-dir restores the last committed
+// generation from checkpoint plus log in ~O(delta) — no crawling, no
+// training, no re-clean; index shards parse on first query — and the
+// store becomes authoritative over the -feed/-demo input.
 //
 // A store-backed daemon is also a replication primary: it serves its
 // checkpoint and delta log over /replicate/manifest,
@@ -29,6 +30,10 @@
 // bytes into its own store, folds the deltas into its serving view
 // through the same CleanDelta path, answers POST /feed with 403
 // pointing at the primary, and gates /readyz on -max-replica-lag.
+//
+// Every path to a new serving generation (boot, POST /feed, replica
+// bootstrap and fold) is built by restore or advance and swapped in by
+// publish, in server.go.
 //
 // Usage:
 //
@@ -68,11 +73,8 @@ type serveConfig struct {
 	seed                      int64
 	dataDir                   string
 	compactEvery              int
-	compactSync               bool
 	maxFeedBytes              int64
 	queryCacheBytes           int
-	readCache                 bool
-	indexLoad                 string
 	pprofAddr                 string
 	drainWait                 time.Duration
 	follow                    string
@@ -93,11 +95,8 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "dataset split and weight-init seed")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "persistent generation store directory (empty: in-memory only)")
 	flag.IntVar(&cfg.compactEvery, "compact-every", 8, "fold the delta log into a fresh checkpoint after this many records (0: never)")
-	flag.BoolVar(&cfg.compactSync, "compact-sync", false, "write compaction checkpoints inside POST /feed instead of a background committer")
 	flag.Int64Var(&cfg.maxFeedBytes, "max-feed-bytes", defaultMaxFeedBytes, "largest POST /feed body accepted, in bytes (0: unbounded)")
 	flag.IntVar(&cfg.queryCacheBytes, "query-cache-bytes", defaultQueryCacheBytes, "per-generation /query response cache cap, in bytes (0: disabled)")
-	flag.BoolVar(&cfg.readCache, "read-cache", true, "serve reads from per-generation pre-encoded response caches")
-	flag.StringVar(&cfg.indexLoad, "index-load", "lazy", "checkpoint index loading: lazy (shards parse on first query) or eager (parse all at boot)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate listener (empty: disabled; profiling never shares the serving port)")
 	flag.DurationVar(&cfg.drainWait, "drain-wait", 500*time.Millisecond, "how long /readyz reports 503 before the listener closes on shutdown, so load balancers drain first (0: immediate)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read replica of the primary nvdserve at this base URL (requires -data-dir; POST /feed turns 403)")
@@ -114,13 +113,9 @@ func main() {
 func run(cfg serveConfig) error {
 	addr, feedPath, demoScale := cfg.addr, cfg.feedPath, cfg.demoScale
 	crawl, dataDir := cfg.crawl, cfg.dataDir
-	compactEvery, compactSync := cfg.compactEvery, cfg.compactSync
 	kinds, err := parseModels(cfg.models)
 	if err != nil {
 		return err
-	}
-	if cfg.indexLoad != "lazy" && cfg.indexLoad != "eager" {
-		return fmt.Errorf("bad -index-load %q (want lazy or eager)", cfg.indexLoad)
 	}
 	if cfg.follow != "" && dataDir == "" {
 		return fmt.Errorf("-follow requires -data-dir (the replica tails the primary's log into its own store)")
@@ -202,20 +197,17 @@ func run(cfg serveConfig) error {
 
 	srv := newServer(opts)
 	srv.persist = persist
-	srv.compactEvery = compactEvery
+	srv.compactEvery = cfg.compactEvery
 	srv.maxFeedBytes = cfg.maxFeedBytes
 	srv.queryCacheBytes = cfg.queryCacheBytes
-	srv.readCache = cfg.readCache
-	if persist != nil {
-		// Every checkpoint commit — boot, -compact-sync inline, or
-		// background — reports its wall time into the scrape surface
-		// and its outcome into the degraded-mode health tracker.
-		persist.SetCommitObserver(srv.observeCommit)
-	}
 	// Stop the degraded-mode recovery probe (if one is running) before
 	// the store it probes closes.
 	defer srv.health.close()
-	if persist != nil && !compactSync {
+	if persist != nil {
+		// Every checkpoint commit — boot or background — reports its
+		// wall time into the scrape surface and its outcome into the
+		// degraded-mode health tracker.
+		persist.SetCommitObserver(srv.observeCommit)
 		// Background compaction: POST /feed seals the delta log and
 		// enqueues the checkpoint; the committer pays the write. Closed
 		// (draining any in-flight commit) before the store closes.
@@ -228,41 +220,17 @@ func run(cfg serveConfig) error {
 			cp.Generation, cfg.follow)
 	}
 	if cp != nil {
-		start := time.Now()
-		res, err := nvdclean.RestoreResult(cp, opts)
-		if err != nil {
-			return fmt.Errorf("restoring checkpoint: %w", err)
+		if err := srv.boot(ctx, cp, logged); err != nil {
+			return err
 		}
-		// Fold the logged deltas into one and re-clean just that.
-		var st *serveState
-		if total := cve.NetDelta(res.Original, logged...); !total.Empty() {
-			// The checkpoint's own view — carrying its restored lazy
-			// index — becomes the base generation; the logged deltas
-			// then advance it incrementally, exactly as POST /feed
-			// would, re-ordinating only the shards they touch.
-			base := srv.newState(res, nil, nil, cp.Index, 0, 0, false, true)
-			if res, err = nvdclean.CleanDelta(ctx, res, total, opts); err != nil {
-				return fmt.Errorf("replaying delta log: %w", err)
-			}
-			st = srv.newState(res, base, total, nil, time.Since(start), 1, len(logged) > 0, true)
-		} else {
-			st = srv.newState(res, nil, nil, cp.Index, time.Since(start), 1, len(logged) > 0, true)
-		}
-		st.restored = true
-		if cfg.indexLoad == "eager" {
-			if err := st.idx.LoadAll(opts.Concurrency); err != nil {
-				fmt.Printf("nvdserve: eager index load failed (%v); rebuilding\n", err)
-				st.idx = store.BuildIndex(res.Cleaned, opts.Concurrency)
-			}
-		}
-		srv.cur.Store(st)
+		st := srv.cur.Load()
 		ixs := st.idx.Stats()
 		indexMode := fmt.Sprintf("restored (%d/%d shards lazy)", ixs.Shards-ixs.LoadedShards, ixs.Shards)
 		if cp.Index == nil {
 			indexMode = "rebuilt (checkpoint carried no index segments)"
 		}
 		fmt.Printf("nvdserve: warm start: restored store generation %d (%d entries, %d logged deltas) in %dms — no re-clean; index %s\n",
-			srv.persist.Generation(), res.Cleaned.Len(), len(logged), st.cleanDur.Milliseconds(), indexMode)
+			srv.persist.Generation(), st.res.Cleaned.Len(), len(logged), st.cleanDur.Milliseconds(), indexMode)
 		if feedPath != "" || snap != nil {
 			fmt.Println("nvdserve: store is authoritative; POST /feed to ingest feed updates")
 		}

@@ -33,8 +33,8 @@ type serverMetrics struct {
 
 	// Ingest-path histograms observed by handleFeed, and the
 	// checkpoint-write histogram fed by the store's commit observer
-	// (both the background committer and -compact-sync inline commits
-	// funnel through it).
+	// (the boot commit and every background commit funnel through
+	// it).
 	ingestDeltaEntries *obs.Histogram
 	ingestSwapSeconds  *obs.Histogram
 	checkpointSeconds  *obs.Histogram
@@ -290,7 +290,7 @@ func newServerMetrics(s *server) *serverMetrics {
 // observeCheckpoint is the store commit observer: successful commit
 // wall times feed the checkpoint histogram, failures count — the
 // committer's own retry counter tracks re-enqueues, this one also sees
-// synchronous (-compact-sync and boot) commit errors.
+// the synchronous boot commit's errors.
 func (m *serverMetrics) observeCheckpoint(d time.Duration, err error) {
 	if err != nil {
 		m.checkpointFailures.Inc()

@@ -274,31 +274,18 @@ func TestWarmRestartEquivalence(t *testing.T) {
 	}
 	warmOpts := opts
 	warmOpts.Concurrency = 3 // concurrency is a wall-clock knob, never bits
-	res, err := nvdclean.RestoreResult(cp, warmOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cp.Index == nil {
 		t.Fatalf("restored checkpoint carried no index segments (note %q)", cp.IndexNote)
 	}
-	// Mirror the production warm boot: the checkpoint's restored lazy
-	// index anchors the base generation, and the logged deltas advance
-	// it incrementally.
+	// The production warm boot: the checkpoint's restored lazy index
+	// anchors the base generation, and the logged deltas advance it
+	// incrementally.
 	srvWarm := newServer(warmOpts)
-	base := srvWarm.newState(res, nil, nil, cp.Index, 0, 0, false, true)
-	cur := res.Original
-	for _, d := range logged {
-		cur = cur.ApplyDelta(d)
+	srvWarm.persist = str2
+	if err := srvWarm.boot(ctx, cp, logged); err != nil {
+		t.Fatal(err)
 	}
-	if total := nvdclean.Diff(res.Original, cur); !total.Empty() {
-		if res, err = nvdclean.CleanDelta(ctx, res, total, warmOpts); err != nil {
-			t.Fatal(err)
-		}
-		srvWarm.cur.Store(srvWarm.newState(res, base, total, nil, 0, 1, true, true))
-	} else {
-		srvWarm.cur.Store(base)
-	}
-	if res.Engine == nil || res.Engine != cp.Engine {
+	if eng := srvWarm.cur.Load().res.Engine; eng == nil || eng != cp.Engine {
 		t.Error("warm restart should reuse the restored engine (v2-only delta)")
 	}
 

@@ -372,26 +372,3 @@ func TestReadCacheStats(t *testing.T) {
 		t.Errorf("conditional counters: %+v", rc.Conditional)
 	}
 }
-
-// TestReadCacheDisabled proves -read-cache=false still serves
-// byte-identical responses and validators — the cache changes latency,
-// never bytes.
-func TestReadCacheDisabled(t *testing.T) {
-	srv, snap := demoServer(t)
-	srv.readCache = false
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	st := srv.cur.Load()
-	id := snap.Entries[0].ID
-
-	code, h, body := getRaw(t, ts, "/cve/"+id, "")
-	if code != http.StatusOK || !bytes.Equal(body, encodeJSON(st.view(st.byID[id]), false)) {
-		t.Fatalf("uncached /cve differs from render (%d)", code)
-	}
-	if code, _, _ := getRaw(t, ts, "/cve/"+id, h.Get("ETag")); code != http.StatusNotModified {
-		t.Error("conditional serving should work without the cache")
-	}
-	if st.entries.Len() != 0 {
-		t.Errorf("disabled cache filled %d entries", st.entries.Len())
-	}
-}

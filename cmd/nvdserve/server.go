@@ -64,9 +64,9 @@ type server struct {
 	// records and folds the sealed generation into a fresh checkpoint.
 	persist      *store.Store
 	compactEvery int
-	// committer runs compaction checkpoints off the ingest path; when
-	// nil (-compact-sync, or no store) the handler pays the checkpoint
-	// write inline, the pre-commit-queue behavior.
+	// committer runs compaction checkpoints off the ingest path. A
+	// store-backed daemon always attaches one; a bare store without one
+	// (tests only) pays the checkpoint write inline.
 	committer *store.Committer
 	// bootEpoch makes ETags unique across restarts: the in-memory
 	// generation counter restarts at 1 while the served content does
@@ -74,10 +74,6 @@ type server struct {
 	// could get a false 304 from a post-restart generation that reused
 	// a pre-restart counter value.
 	bootEpoch uint64
-	// readCache gates the pre-encoded response caches (-read-cache);
-	// off, every read renders per request — the pre-PR-5 behavior kept
-	// as an escape hatch and as the benchmark baseline.
-	readCache bool
 	// queryCacheBytes caps each generation's /query response cache
 	// (-query-cache-bytes; <= 0 disables it). The /cve cache needs no
 	// cap: it is bounded by the generation's entry count.
@@ -115,7 +111,6 @@ func newServer(opts nvdclean.Options) *server {
 	s := &server{
 		opts:            opts,
 		bootEpoch:       uint64(time.Now().UnixNano()),
-		readCache:       true,
 		queryCacheBytes: defaultQueryCacheBytes,
 		maxFeedBytes:    defaultMaxFeedBytes,
 		metrics:         &respcache.Metrics{},
@@ -128,92 +123,142 @@ func newServer(opts nvdclean.Options) *server {
 	return s
 }
 
-// load runs the full pipeline on snap and installs the result as the
-// current generation, committing a checkpoint when a store is
-// attached. The commit happens before the install: a boot whose
-// checkpoint fails must surface the error without leaving the server
-// serving a generation the store never recorded.
+// load runs the full pipeline on snap and publishes the result as the
+// next generation, committing a checkpoint when a store is attached.
+// The commit happens before the publish: a boot whose checkpoint fails
+// must surface the error without leaving the server serving a
+// generation the store never recorded.
 func (s *server) load(ctx context.Context, snap *nvdclean.Snapshot) error {
 	start := time.Now()
 	res, err := nvdclean.Clean(ctx, snap, s.opts)
 	if err != nil {
 		return err
 	}
-	gen := 1
-	if prev := s.cur.Load(); prev != nil {
-		gen = prev.generation + 1
-	}
-	st := s.newState(res, nil, nil, nil, time.Since(start), gen, false, false)
+	st := s.generationOf(res, store.BuildIndex(res.Cleaned, s.opts.Concurrency), time.Since(start))
 	if s.persist != nil {
 		cp := res.StoreCheckpoint()
 		cp.Index = st.idx
 		if err := s.persist.Commit(cp); err != nil {
 			return fmt.Errorf("committing checkpoint: %w", err)
 		}
-		// The commit opened the store's first log segment, giving the
-		// daemon its stream position; re-derive the validator from it
-		// (st is not published yet, so this is race-free).
-		st.etag = s.readValidator(gen)
 	}
-	s.cur.Store(st)
+	s.publish(st)
 	return nil
 }
 
-// newState builds one serving generation: the query indexes are either
-// built in full or, given the previous generation, advanced
-// incrementally from the cleaned-view delta CleanDelta returned, which
-// also captures consolidation flips and re-scored entries the feed
-// delta never named. newState writes to no cleaned entry: entries are
-// immutable and shared with the previous generation, its readers and
-// any queued checkpoint. Untouched index shards are
-// shared between generations, and so are the previous generation's
-// pre-encoded /cve responses: an entry neither delta names serves the
-// exact bytes it served last generation, copied forward by reference.
-// The invalidation set is the union of both deltas because the /cve
-// view is wider than the cleaned entry — a feed update can flip a
-// Result-level annotation (say, a consolidation mark) while leaving
-// the cleaned entry bytes equal, so the feed delta's IDs are stale
-// even when the cleaned diff never names them.
-func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvdclean.Delta, restored *store.Index, dur time.Duration, gen int, incremental, warm bool) *serveState {
+// restore builds an unpublished generation from a committed
+// checkpoint: the Result reassembles without crawling, training or
+// re-cleaning, and the checkpoint's index shards stay raw segment bytes
+// until queries touch them, so restoring never pays a BuildIndex over
+// the feed unless the checkpoint carried no index segments.
+func (s *server) restore(cp *store.Checkpoint) (*serveState, error) {
+	start := time.Now()
+	res, err := nvdclean.RestoreResult(cp, s.opts)
+	if err != nil {
+		return nil, err
+	}
+	idx := cp.Index
+	if idx == nil {
+		idx = store.BuildIndex(res.Cleaned, s.opts.Concurrency)
+	}
+	st := s.generationOf(res, idx, time.Since(start))
+	st.warmStart, st.restored = true, true
+	return st, nil
+}
+
+// advance re-cleans delta incrementally off prev and builds the
+// unpublished generation it yields. It writes to no cleaned entry:
+// entries are immutable and shared with prev, its readers and any
+// queued checkpoint. The index advances from the cleaned-view delta
+// CleanDelta returned, which also captures consolidation flips and
+// re-scored entries the feed delta never named; untouched index shards
+// are shared between generations, and so are prev's pre-encoded /cve
+// responses: an entry neither delta names serves the exact bytes it
+// served last generation, copied forward by reference. The
+// invalidation set is the union of both deltas because the /cve view
+// is wider than the cleaned entry — a feed update can flip a
+// Result-level annotation (say, a consolidation mark) while leaving the
+// cleaned entry bytes equal, so the feed delta's IDs are stale even
+// when the cleaned diff never names them. A failed or cancelled clean
+// returns an error and leaves nothing behind.
+func (s *server) advance(ctx context.Context, prev *serveState, delta *nvdclean.Delta) (*serveState, error) {
+	start := time.Now()
+	res, err := nvdclean.CleanDelta(ctx, prev.res, delta, s.opts)
+	if err != nil {
+		return nil, err
+	}
+	dur := time.Since(start)
+	idx, err := prev.idx.Update(res.CleanedDelta, func(id string) *cve.Entry {
+		return prev.byID[id]
+	}, res.Cleaned, s.opts.Concurrency)
+	if err != nil {
+		// A corrupt lazily-loaded shard surfaces on the first update
+		// that touches it; a full rebuild restores a clean in-memory
+		// index.
+		idx = store.BuildIndex(res.Cleaned, s.opts.Concurrency)
+	}
+	st := s.generationOf(res, idx, dur)
+	st.incremental = true
+	st.warmStart = res.Engine != nil && res.Engine == prev.res.Engine
+	stale := staleIDs(res.CleanedDelta, delta)
+	st.entries.Seed(prev.entries, func(id string) bool {
+		_, alive := st.byID[id]
+		return alive && !stale[id]
+	})
+	return st, nil
+}
+
+// publish makes st the serving generation: it numbers st after the
+// current one, derives its read validator from the store's stream
+// position — so any delta st serves must already be appended — and
+// swaps it in atomically. Every generation transition ends here;
+// callers racing ingest (POST /feed, the follower) hold feedMu.
+func (s *server) publish(st *serveState) {
+	st.generation = 1
+	if prev := s.cur.Load(); prev != nil {
+		st.generation = prev.generation + 1
+	}
+	st.etag = s.readValidator(st.generation)
+	st.loadedAt = time.Now()
+	s.cur.Store(st)
+}
+
+// generationOf wraps a cleaned Result and its index as an unpublished
+// generation with empty response caches.
+func (s *server) generationOf(res *nvdclean.Result, idx *store.Index, dur time.Duration) *serveState {
 	byID := make(map[string]*nvdclean.Entry, res.Cleaned.Len())
 	for _, e := range res.Cleaned.Entries {
 		byID[e.ID] = e
 	}
-	st := &serveState{
-		res: res, byID: byID,
-		loadedAt: time.Now(), cleanDur: dur,
-		generation: gen, incremental: incremental, warmStart: warm,
+	return &serveState{
+		res: res, byID: byID, idx: idx, cleanDur: dur,
 		entries: respcache.NewEntryCache(s.metrics),
 		queries: respcache.NewQueryCache(s.queryCacheBytes, s.metrics),
 	}
-	switch {
-	case restored != nil:
-		// A checkpoint-restored index: shards stay raw segment bytes
-		// until queries touch them, so the warm boot never pays a
-		// BuildIndex over the feed.
-		st.idx = restored
-	case prev != nil && prev.idx != nil:
-		cleanedDelta := res.CleanedDelta
-		idx, err := prev.idx.Update(cleanedDelta, func(id string) *cve.Entry {
-			return prev.byID[id]
-		}, res.Cleaned, s.opts.Concurrency)
-		if err != nil {
-			// A corrupt lazily-loaded shard surfaces on the first
-			// update that touches it; a full rebuild restores a clean
-			// in-memory index.
-			idx = store.BuildIndex(res.Cleaned, s.opts.Concurrency)
-		}
-		st.idx = idx
-		stale := staleIDs(cleanedDelta, feedDelta)
-		st.entries.Seed(prev.entries, func(id string) bool {
-			_, alive := byID[id]
-			return alive && !stale[id]
-		})
-	default:
-		st.idx = store.BuildIndex(res.Cleaned, s.opts.Concurrency)
+}
+
+// boot installs the warm-restart generation from a recovered store:
+// the checkpoint restores, the logged deltas — netted into one — advance
+// it exactly as POST /feed would, re-ordinating only the index shards
+// they touch, and the result publishes. Nothing is appended: the
+// deltas are already durable.
+func (s *server) boot(ctx context.Context, cp *store.Checkpoint, logged []*nvdclean.Delta) error {
+	start := time.Now()
+	st, err := s.restore(cp)
+	if err != nil {
+		return fmt.Errorf("restoring checkpoint: %w", err)
 	}
-	st.etag = s.readValidator(gen)
-	return st
+	if total := cve.NetDelta(st.res.Original, logged...); !total.Empty() {
+		if st, err = s.advance(ctx, st, total); err != nil {
+			return fmt.Errorf("replaying delta log: %w", err)
+		}
+	}
+	// The boot generation is a warm restart whether or not the log
+	// replayed; it counts as incremental whenever there was a log.
+	st.restored, st.incremental = true, len(logged) > 0
+	st.cleanDur = time.Since(start)
+	s.publish(st)
+	return nil
 }
 
 // readValidator derives the strong validator a generation's read
@@ -487,7 +532,7 @@ func (s *server) handleCVE(w http.ResponseWriter, r *http.Request) {
 		s.serveNotModified(w, etag, cached)
 		return
 	}
-	serveRead(w, etag, s.cveBody(st, id, pretty))
+	serveRead(w, etag, st.cveBody(id, pretty))
 }
 
 // queryParams is one parsed /query request.
@@ -715,7 +760,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.serveNotModified(w, etag, cached)
 		return
 	}
-	serveRead(w, etag, s.queryBody(st, p))
+	serveRead(w, etag, st.queryBody(p))
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -760,7 +805,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	m := s.metrics
 	stats["readCache"] = map[string]any{
-		"enabled": s.readCache,
+		"enabled": true, // always; kept for a stable /stats shape
 		"entry": map[string]any{
 			"hits":          m.EntryHits.Load(),
 			"misses":        m.EntryMisses.Load(),
@@ -891,14 +936,13 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	prev := st.res
 
 	var delta *nvdclean.Delta
 	switch mode := r.URL.Query().Get("mode"); mode {
 	case "", "upsert":
-		delta = upsertDelta(prev.Original, snap)
+		delta = upsertDelta(st.res.Original, snap)
 	case "replace":
-		delta = nvdclean.Diff(prev.Original, snap)
+		delta = nvdclean.Diff(st.res.Original, snap)
 	default:
 		writeError(w, http.StatusBadRequest, "bad mode %q (want upsert or replace)", mode)
 		return
@@ -917,81 +961,84 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	res, err := nvdclean.CleanDelta(r.Context(), prev, delta, s.opts)
+	next, err := s.advance(r.Context(), st, delta)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "incremental clean: %v", err)
 		return
 	}
-	dur := time.Since(start)
-	warm := res.Engine != nil && res.Engine == prev.Engine
 
-	// Make the delta durable before the new generation is built: a
+	// Make the delta durable before the new generation is visible: a
 	// crash after the append replays it on restart, a crash before it
 	// loses only an update the client never saw acknowledged. The
-	// append also advances the store's replication position, which the
-	// new generation's ETag validator is derived from — so the order
-	// here is load-bearing, not just a durability nicety.
+	// append also advances the store's replication position, which
+	// publish derives the new generation's ETag validator from — so the
+	// order here is load-bearing, not just a durability nicety.
 	if s.persist != nil {
 		if err := s.persist.AppendDelta(delta); err != nil {
 			// Not a 500: the daemon is healthy, the disk is not. Enter
 			// degraded mode (read-only serving plus a recovery probe)
-			// and tell the client when to retry. The in-memory swap
-			// below never happens, so memory cannot run ahead of disk.
+			// and tell the client when to retry. The publish below
+			// never happens, so memory cannot run ahead of disk.
 			s.health.recordFailure(err)
 			s.persistUnavailable(w, err.Error(), errors.Is(err, syscall.ENOSPC))
 			return
 		}
 	}
-	next := s.newState(res, st, delta, nil, dur, st.generation+1, true, warm)
-	s.maybeCompact(res, next.idx, summary)
-	s.cur.Store(next)
+	s.maybeCompact(next, summary)
+	s.publish(next)
 	// Observed after the swap so the histogram matches what a client
 	// actually waited for a visible generation change.
 	s.obs.ingestDeltaEntries.Observe(float64(delta.Size()))
 	s.obs.ingestSwapSeconds.Observe(time.Since(start).Seconds())
 
 	summary["changed"] = delta.Size()
-	summary["entries"] = res.Cleaned.Len()
-	summary["cleanMillis"] = dur.Milliseconds()
-	summary["engineWarmStart"] = warm
+	summary["entries"] = next.res.Cleaned.Len()
+	summary["cleanMillis"] = next.cleanDur.Milliseconds()
+	summary["engineWarmStart"] = next.warmStart
 	summary["generation"] = next.generation
 	writeJSON(w, http.StatusOK, summary)
 }
 
 // maybeCompact folds the delta log down once enough records accumulate
-// in the active segment: it seals the segment (O(1)) and hands a
-// checkpoint of the sealed generation to the background committer, so
-// the handler never pays the checkpoint write. The checkpoint only
-// references res, whose entries are immutable, so the committer encodes
-// it while readers serve the same entries.
-// With -compact-sync (or no committer) the commit runs inline, the
-// pre-commit-queue behavior.
-func (s *server) maybeCompact(res *nvdclean.Result, idx *store.Index, summary map[string]any) {
+// in the active segment: it seals the segment (O(1)) and checkpoints
+// the sealed generation st off the ingest path (see checkpointSealed).
+func (s *server) maybeCompact(st *serveState, summary map[string]any) {
 	if s.persist == nil || s.compactEvery <= 0 || s.persist.ActiveRecords() < s.compactEvery {
 		return
 	}
-	cp := res.StoreCheckpoint()
-	cp.Index = idx
 	seq, err := s.persist.Seal()
 	if err != nil {
 		summary["compactionError"] = err.Error()
 		s.health.recordFailure(err)
 		return
 	}
-	if s.committer != nil {
-		s.committer.Enqueue(cp, seq)
-		summary["compactionQueued"] = true
-		return
-	}
-	// Inline commits report through the commit observer when one is
-	// installed; recordFailure here keeps the degraded transition even
-	// for a bare store with no observer wired.
-	if err := s.persist.CommitSealed(cp, seq); err != nil {
+	switch err := s.checkpointSealed(st, seq); {
+	case err != nil:
 		summary["compactionError"] = err.Error()
+		// Inline commits report through the commit observer when one
+		// is installed; recordFailure here keeps the degraded
+		// transition even for a bare store with no observer wired.
 		s.health.recordFailure(err)
-	} else {
+	case s.committer != nil:
+		summary["compactionQueued"] = true
+	default:
 		summary["compacted"] = true
 	}
+}
+
+// checkpointSealed checkpoints generation st as covering every log
+// record up to the sealed segment seq. The checkpoint only references
+// st's immutable entries and index, so the background committer
+// encodes it while readers serve the same generation. A server with no
+// committer attached (a bare store in tests) commits inline instead.
+func (s *server) checkpointSealed(st *serveState, seq uint64) error {
+	cp := st.res.StoreCheckpoint()
+	cp.Index = st.idx
+	if s.committer != nil {
+		s.committer.Enqueue(cp, seq)
+		return nil
+	}
+	return s.persist.CommitSealed(cp, seq)
 }
 
 // upsertDelta builds the delta for a partial feed: posted entries are

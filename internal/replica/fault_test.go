@@ -162,16 +162,3 @@ func TestLogRetryAfterCapped(t *testing.T) {
 		t.Fatalf("RetryAfter = %s, want capped at %s", chunk.RetryAfter, maxRetryAfter)
 	}
 }
-
-func TestJitterBounds(t *testing.T) {
-	d := 100 * time.Millisecond
-	for i := 0; i < 100; i++ {
-		j := jitter(d)
-		if j < d/2 || j >= d {
-			t.Fatalf("jitter(%s) = %s out of [%s, %s)", d, j, d/2, d)
-		}
-	}
-	if jitter(0) != 0 || jitter(1) != 1 {
-		t.Fatal("jitter must pass tiny delays through")
-	}
-}

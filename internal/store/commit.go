@@ -1,9 +1,10 @@
 package store
 
 import (
-	"math/rand/v2"
 	"sync"
 	"time"
+
+	"nvdclean/internal/backoff"
 )
 
 // Committer runs checkpoint commits off the ingest hot path. The feed
@@ -131,17 +132,6 @@ func (c *Committer) Close() {
 	<-c.done
 }
 
-// jitterDelay spreads a retry delay over [d/2, d), so a fleet of
-// daemons failing on a shared fault (a full volume, a down primary)
-// does not retry in lockstep and stampede whatever just recovered.
-func jitterDelay(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + rand.N(d-half)
-}
-
 func (c *Committer) loop() {
 	defer close(c.done)
 	failures := 0
@@ -184,7 +174,7 @@ func (c *Committer) loop() {
 			if delay <<= failures; delay > max || delay <= 0 {
 				delay = max
 			}
-			delay = jitterDelay(delay)
+			delay = backoff.Jitter(delay)
 			failures++
 			select {
 			case <-c.stop:

@@ -555,21 +555,6 @@ func (ix *Index) Match(q Query) ([]uint32, bool, error) {
 	return acc, true, nil
 }
 
-// LoadAll eagerly parses every lazy shard (the -index-load=eager boot
-// path), returning the first parse failure.
-func (ix *Index) LoadAll(workers int) error {
-	var errs [numShards]error
-	parallel.For(workers, numShards, func(s int) {
-		_, errs[s] = ix.shards[s].load()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // IndexStats is the /stats view of one generation's index.
 type IndexStats struct {
 	Shards        int   // total shards

@@ -511,9 +511,9 @@ func (s *Store) Seal() (uint64, error) {
 
 // Commit synchronously persists cp as the next generation, folding in
 // every delta logged so far: it seals the active segment (when one
-// exists) and runs CommitSealed inline. This is the boot path and the
-// -compact-sync escape hatch; the non-blocking ingest path calls Seal
-// and hands CommitSealed to a background Committer instead.
+// exists) and runs CommitSealed inline. This is the boot path; the
+// non-blocking ingest path calls Seal and hands CommitSealed to a
+// background Committer instead.
 func (s *Store) Commit(cp *Checkpoint) error {
 	s.mu.Lock()
 	hasActive := s.active != nil
